@@ -28,39 +28,52 @@ void Runtime::section_begin() {
   REPMPI_CHECK_MSG(!in_section_, "intra-parallel sections cannot nest");
   in_section_ = true;
   comm_.set_in_section(true);
-  defs_.clear();
-  tasks_.clear();
+  // Slots are kept for reuse; release what the last section held beyond
+  // itself (task bodies, and update requests with their payloads), so a
+  // reused slot starts with no requests.
+  for (std::size_t i = 0; i < num_defs_; ++i) defs_[i].fn = nullptr;
+  for (Task& t : tasks()) t.recv_reqs.clear();
+  num_defs_ = 0;
+  num_tasks_ = 0;
   ++section_seq_;
   maybe_crash(fault::CrashSite::kSectionEntry);
 }
 
-int Runtime::register_task(TaskFn fn, std::vector<ArgSpec> args) {
+int Runtime::register_task(TaskFn fn, std::span<const ArgSpec> args) {
   REPMPI_CHECK_MSG(in_section_, "register_task outside a section");
   REPMPI_CHECK(args.size() <= kMaxArgsPerTask);
-  defs_.push_back(TaskDef{std::move(fn), std::move(args)});
-  return static_cast<int>(defs_.size()) - 1;
+  if (num_defs_ == defs_.size()) defs_.emplace_back();
+  TaskDef& def = defs_[num_defs_];
+  def.fn = std::move(fn);
+  def.args.assign(args.begin(), args.end());
+  return static_cast<int>(num_defs_++);
 }
 
-void Runtime::launch(int task_type, std::vector<Binding> bindings,
+void Runtime::launch(int task_type, std::span<const Binding> bindings,
                      double weight) {
   REPMPI_CHECK_MSG(in_section_, "launch outside a section");
   REPMPI_CHECK_MSG(task_type >= 0 &&
-                       static_cast<std::size_t>(task_type) < defs_.size(),
+                       static_cast<std::size_t>(task_type) < num_defs_,
                    "unknown task type " << task_type);
-  REPMPI_CHECK(tasks_.size() < kMaxTasksPerSection);
+  REPMPI_CHECK(num_tasks_ < kMaxTasksPerSection);
   const TaskDef& def = defs_[static_cast<std::size_t>(task_type)];
   REPMPI_CHECK_MSG(bindings.size() == def.args.size(),
                    "task type " << task_type << " expects " << def.args.size()
                                 << " args, got " << bindings.size());
-  Task t;
+  if (num_tasks_ == tasks_.size()) tasks_.emplace_back();
+  Task& t = tasks_[num_tasks_++];
   t.def = task_type;
   t.weight = weight;
-  t.bindings.reserve(bindings.size());
+  t.bindings.clear();
   for (const Binding& b : bindings) {
     t.bindings.emplace_back(static_cast<std::byte*>(b.ptr), b.bytes);
   }
-  t.inout_copies.resize(bindings.size());
-  tasks_.push_back(std::move(t));
+  // A pre-image left by an earlier section must never be restored here.
+  for (support::Buffer& copy : t.inout_copies) copy.clear();
+  if (t.inout_copies.size() < bindings.size())
+    t.inout_copies.resize(bindings.size());
+  t.lane = -1;
+  t.inout_copied = false;
 }
 
 int Runtime::update_tag(std::size_t task_index, std::size_t arg_index) const {
@@ -90,13 +103,13 @@ int Runtime::assigned_lane(std::size_t task_index, std::size_t num_tasks,
 
 void Runtime::assign_lanes(const std::vector<int>& lanes) {
   if (config_.policy != SchedulePolicy::kWeighted) {
-    for (std::size_t i = 0; i < tasks_.size(); ++i)
-      tasks_[i].lane = assigned_lane(i, tasks_.size(), lanes);
+    for (std::size_t i = 0; i < num_tasks_; ++i)
+      tasks_[i].lane = assigned_lane(i, num_tasks_, lanes);
     return;
   }
   // LPT greedy: heaviest first, to the least-loaded lane. Ties break on
   // task index and lane order, so every replica computes the same map.
-  std::vector<std::size_t> order(tasks_.size());
+  std::vector<std::size_t> order(num_tasks_);
   for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
   std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
     if (tasks_[a].weight != tasks_[b].weight)
@@ -152,7 +165,7 @@ void Runtime::execute_task(Task& t, bool is_reexecution) {
   // value of every inout argument (Fig. 2's true-dependence hazard).
   if (is_reexecution) restore_inout_copies(t);
   const TaskDef& def = defs_[static_cast<std::size_t>(t.def)];
-  TaskArgs args(&def.args, t.bindings);
+  TaskArgs args(def.args, t.bindings);
   const net::ComputeCost cost = def.fn(args);
   comm_.proc().compute(cost);
   ++stats_.tasks_executed;
@@ -182,7 +195,7 @@ void Runtime::execute_task_shared(Task& t) {
   const net::ComputeCost cost = config_.share->shared(
       "intra.alllocal.task", std::span<const std::span<std::byte>>(outs, n),
       [&]() -> net::ComputeCost {
-        TaskArgs args(&def.args, t.bindings);
+        TaskArgs args(def.args, t.bindings);
         return def.fn(args);
       });
   comm_.proc().compute(cost);
@@ -242,9 +255,10 @@ void Runtime::section_end() {
   mpi::Proc& proc = comm_.proc();
   const double t_start = proc.now();
 
-  std::vector<int> lanes = comm_.alive_lanes(comm_.rank());
+  comm_.alive_lanes(comm_.rank(), lanes_);
+  const std::vector<int>& lanes = lanes_;
   const bool shared = config_.mode == Mode::kShared && lanes.size() > 1 &&
-                      !tasks_.empty();
+                      num_tasks_ > 0;
 
   if (!shared) {
     // Native run, classic replication (every replica computes everything),
@@ -256,7 +270,7 @@ void Runtime::section_end() {
     const bool dedupe = config_.share != nullptr && config_.share->active() &&
                         config_.mode == Mode::kAllLocal && lanes.size() > 1 &&
                         (config_.faults == nullptr || config_.faults->empty());
-    for (Task& t : tasks_) {
+    for (Task& t : tasks()) {
       maybe_crash(fault::CrashSite::kBeforeTaskExec,
                   static_cast<int>(&t - tasks_.data()));
       if (dedupe) {
@@ -264,7 +278,6 @@ void Runtime::section_end() {
       } else {
         execute_task(t, /*is_reexecution=*/false);
       }
-      t.done = true;
     }
     // SDC-detecting replication: compare section outputs across replicas.
     if (config_.mode == Mode::kDuplicateVerify && lanes.size() > 1)
@@ -283,24 +296,23 @@ void Runtime::section_end() {
   // Overlap (paper V-A): pre-post receives for every remote task's updates
   // so transfers proceed while we compute our own tasks.
   if (config_.overlap) {
-    for (std::size_t i = 0; i < tasks_.size(); ++i) {
+    for (std::size_t i = 0; i < num_tasks_; ++i) {
       if (tasks_[i].lane != comm_.lane()) post_update_recvs(tasks_[i], i);
     }
   }
 
   // Execute local tasks; with overlap on, each task's updates leave as soon
   // as it completes.
-  for (std::size_t i = 0; i < tasks_.size(); ++i) {
+  for (std::size_t i = 0; i < num_tasks_; ++i) {
     Task& t = tasks_[i];
     if (t.lane != comm_.lane()) continue;
     maybe_crash(fault::CrashSite::kBeforeTaskExec, static_cast<int>(i));
     execute_task(t, /*is_reexecution=*/false);
     maybe_crash(fault::CrashSite::kAfterTaskExec, static_cast<int>(i));
     if (config_.overlap) send_updates(t, lanes);
-    t.done = true;
   }
   if (!config_.overlap) {
-    for (std::size_t i = 0; i < tasks_.size(); ++i) {
+    for (std::size_t i = 0; i < num_tasks_; ++i) {
       Task& t = tasks_[i];
       if (t.lane == comm_.lane()) send_updates(t, lanes);
       else post_update_recvs(t, i);
@@ -311,17 +323,14 @@ void Runtime::section_end() {
   // Collect remote updates; a lane failure turns the affected tasks into
   // local re-executions (see the class comment for why this is equivalent
   // to Algorithm 1's re-scheduling at the evaluated degree).
-  for (std::size_t i = 0; i < tasks_.size(); ++i) {
+  for (std::size_t i = 0; i < num_tasks_; ++i) {
     Task& t = tasks_[i];
     if (t.lane == comm_.lane()) continue;
-    if (collect_update(t)) {
-      t.done = true;
-    } else {
+    if (!collect_update(t)) {
       REPMPI_DEBUG("logical " << comm_.rank() << " lane " << comm_.lane()
                               << ": lane " << t.lane << " failed; re-executing"
                               << " task " << i << " locally");
       execute_task(t, /*is_reexecution=*/true);
-      t.done = true;
     }
   }
   stats_.update_tail_time += proc.now() - t_local_done;
@@ -347,7 +356,7 @@ void Runtime::verify_consistency() {
   // compare: at section exit all replicas must hold identical state
   // (Definition 1). Test-only instrumentation.
   std::uint64_t h = 0xcbf29ce484222325ULL;
-  for (const Task& t : tasks_) {
+  for (const Task& t : tasks()) {
     const TaskDef& def = defs_[static_cast<std::size_t>(t.def)];
     for (std::size_t a = 0; a < def.args.size(); ++a) {
       if (def.args[a].tag == ArgTag::kIn) continue;
@@ -356,11 +365,11 @@ void Runtime::verify_consistency() {
   }
   mpi::Comm& rc = comm_.replica_comm();
   const int tag = update_tag(kMaxTasksPerSection - 1, kMaxArgsPerTask - 1);
-  std::vector<int> lanes = comm_.alive_lanes(comm_.rank());
-  for (int lane : lanes) {
+  comm_.alive_lanes(comm_.rank(), lanes_);
+  for (int lane : lanes_) {
     if (lane != comm_.lane()) rc.isend(lane, tag, support::as_bytes_of(h));
   }
-  for (int lane : lanes) {
+  for (int lane : lanes_) {
     if (lane == comm_.lane()) continue;
     mpi::Request req = rc.irecv(lane, tag);
     mpi::Status st = rc.wait(req);
@@ -378,7 +387,7 @@ void Runtime::verify_outputs_for_sdc(const std::vector<int>& lanes) {
   // all output bytes (the price of SDC coverage).
   std::uint64_t h = 0xcbf29ce484222325ULL;
   std::size_t hashed_bytes = 0;
-  for (const Task& t : tasks_) {
+  for (const Task& t : tasks()) {
     const TaskDef& def = defs_[static_cast<std::size_t>(t.def)];
     for (std::size_t a = 0; a < def.args.size(); ++a) {
       if (def.args[a].tag == ArgTag::kIn) continue;

@@ -34,7 +34,9 @@
 // plots.
 
 #include <cstdint>
+#include <initializer_list>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "fault/failure.hpp"
@@ -100,14 +102,25 @@ class Runtime {
   void section_begin();
 
   /// Paper: Intra_Task_register(f, tags...). Valid inside an open section;
-  /// returns the task-type id used by launch().
-  int register_task(TaskFn fn, std::vector<ArgSpec> args);
+  /// returns the task-type id used by launch(). The tags are copied into a
+  /// slot reused across sections.
+  int register_task(TaskFn fn, std::span<const ArgSpec> args);
+  int register_task(TaskFn fn, std::initializer_list<ArgSpec> args) {
+    return register_task(std::move(fn),
+                         std::span<const ArgSpec>(args.begin(), args.size()));
+  }
 
   /// Paper: Intra_Task_launch(id, vars...). Binds memory to a registered
   /// task type and queues the task. `weight` is an optional relative cost
   /// estimate used by SchedulePolicy::kWeighted (ignored otherwise).
-  void launch(int task_type, std::vector<Binding> bindings,
+  void launch(int task_type, std::span<const Binding> bindings,
               double weight = 1.0);
+  void launch(int task_type, std::initializer_list<Binding> bindings,
+              double weight = 1.0) {
+    launch(task_type,
+           std::span<const Binding>(bindings.begin(), bindings.size()),
+           weight);
+  }
 
   /// Paper: Intra_Section_end(). Runs the protocol of Algorithm 1; on
   /// return, all alive replicas of this logical rank hold identical values
@@ -130,18 +143,22 @@ class Runtime {
     std::vector<ArgSpec> args;
   };
 
+  /// One launched task. Slots outlive their section: launch() resets a
+  /// slot's state but keeps its vectors' capacity for the next section.
   struct Task {
     int def = -1;
     double weight = 1.0;
     std::vector<std::span<std::byte>> bindings;
     /// Pre-images of inout arguments (Fig. 2): filled lazily on first
-    /// receive; restored before any (re-)execution.
+    /// receive; restored before any (re-)execution. Empty: no pre-image.
     std::vector<support::Buffer> inout_copies;
     std::vector<mpi::Request> recv_reqs;  ///< one per non-in arg (remote tasks)
     int lane = -1;  ///< assigned lane
-    bool done = false;
     bool inout_copied = false;  ///< pre-image charge taken (Alg.1 l.37)
   };
+
+  /// This section's tasks: the first num_tasks_ slots.
+  std::span<Task> tasks() { return {tasks_.data(), num_tasks_}; }
 
   int assigned_lane(std::size_t task_index, std::size_t num_tasks,
                     const std::vector<int>& lanes) const;
@@ -169,8 +186,11 @@ class Runtime {
   rep::LogicalComm& comm_;
   Config config_;
   bool in_section_ = false;
-  std::vector<TaskDef> defs_;
-  std::vector<Task> tasks_;
+  std::vector<TaskDef> defs_;  ///< slots [0, num_defs_) are this section's
+  std::size_t num_defs_ = 0;
+  std::vector<Task> tasks_;  ///< slots [0, num_tasks_) are this section's
+  std::size_t num_tasks_ = 0;
+  std::vector<int> lanes_;  ///< alive lanes of this logical rank (scratch)
   std::uint64_t section_seq_ = 0;
   IntraStats stats_;
 };

@@ -12,7 +12,6 @@
 #include <cstddef>
 #include <functional>
 #include <span>
-#include <vector>
 
 #include "net/machine_model.hpp"
 #include "support/buffer.hpp"
@@ -31,12 +30,13 @@ struct ArgSpec {
   std::size_t elem_size = 1;
 };
 
-/// A task's view of its bound arguments.
+/// A task's view of its bound arguments (borrowed from the runtime's task
+/// slot for the duration of one execution).
 class TaskArgs {
  public:
-  TaskArgs(const std::vector<ArgSpec>* specs,
-           std::vector<std::span<std::byte>> bindings)
-      : specs_(specs), bindings_(std::move(bindings)) {}
+  TaskArgs(std::span<const ArgSpec> specs,
+           std::span<const std::span<std::byte>> bindings)
+      : specs_(specs), bindings_(bindings) {}
 
   std::size_t count() const { return bindings_.size(); }
 
@@ -82,12 +82,13 @@ class TaskArgs {
   }
 
   const ArgSpec& spec(std::size_t i) const {
-    return (*specs_)[i];
+    REPMPI_CHECK(i < specs_.size());
+    return specs_[i];
   }
 
  private:
-  const std::vector<ArgSpec>* specs_;
-  std::vector<std::span<std::byte>> bindings_;
+  std::span<const ArgSpec> specs_;
+  std::span<const std::span<std::byte>> bindings_;
 };
 
 /// Task body: performs the real computation on its arguments and returns its

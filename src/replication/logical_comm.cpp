@@ -41,14 +41,7 @@ LogicalComm::LogicalComm(mpi::Proc& proc, ReplicaLayout layout)
       std::move(lanes));
 
   if (replicated()) {
-    // Streams are keyed per (peer, tag) and collectives burn a fresh tag per
-    // call, so these tables grow with the iteration count; start them past
-    // the first few rehash doublings.
-    send_seq_.reserve(256);
-    recv_seq_.reserve(256);
-    recv_state_.reserve(256);
     shared_ = std::make_shared<SharedState>();
-    shared_->send_log.reserve(256);
     // The progress agent models the MPI library's async progress thread: it
     // serves replay requests even while the main thread is blocked.
     auto shared = shared_;
@@ -66,13 +59,12 @@ LogicalComm::LogicalComm(mpi::Proc& proc, ReplicaLayout layout)
 
 mpi::Comm& LogicalComm::replica_comm() { return *replica_comm_; }
 
-std::vector<int> LogicalComm::alive_lanes(int logical) const {
-  std::vector<int> lanes;
+void LogicalComm::alive_lanes(int logical, std::vector<int>& out) const {
+  out.clear();
   for (int k = 0; k < layout_.degree; ++k) {
     if (!proc_.world().is_dead(layout_.phys_rank(logical, k)))
-      lanes.push_back(k);
+      out.push_back(k);
   }
-  return lanes;
 }
 
 int LogicalComm::lowest_alive_lane(int logical) const {
@@ -101,15 +93,15 @@ void LogicalComm::send(int dst, int tag, std::span<const std::byte> bytes) {
     return;
   }
 
-  const TagKey k = key(dst, tag);
-  const std::uint64_t seq = send_seq_[k]++;
+  Stream& s = shared_->streams.get(key(dst, tag));
+  const std::uint64_t seq = s.send_seq++;
 
   // One capture of header + body; the log entry and every lane transmission
   // below share it by reference.
   const MsgHeader hdr{seq};
   support::Payload payload =
       support::Payload::concat(support::as_bytes_of(hdr), bytes);
-  shared_->send_log[k].push_back(LoggedMsg{seq, payload});
+  append_log(s, seq, payload);
 
   // Replication-protocol bookkeeping (ordering metadata, envelope checks).
   proc_.elapse(proc_.world().model().replication_msg_overhead);
@@ -143,8 +135,48 @@ LogicalRequest LogicalComm::irecv(int src, int tag) {
     req.phys = phys_->irecv(src, tag);
     return req;
   }
-  req.expected_seq = recv_seq_[key(src, tag)]++;
+  req.expected_seq = shared_->streams.get(key(src, tag)).recv_seq++;
   return req;
+}
+
+void LogicalComm::append_log(Stream& s, std::uint64_t seq,
+                             const support::Payload& payload) {
+  std::vector<LoggedMsg>& log = shared_->log;
+  REPMPI_CHECK(log.size() < kNoEntry);
+  const auto at = static_cast<std::uint32_t>(log.size());
+  log.push_back(LoggedMsg{seq, payload});
+  if (s.log_tail == kNoEntry) {
+    s.log_head = at;
+  } else {
+    log[s.log_tail].next = at;
+  }
+  s.log_tail = at;
+}
+
+mpi::Status LogicalComm::deliver(LogicalRequest& req, Stream& s,
+                                 support::Payload data) {
+  req.data = std::move(data);
+  // Advance the floor past every delivered seq; a seq above it waits in
+  // `delivered` until the gap below closes.
+  if (req.expected_seq != s.floor) {
+    if (!s.reorder) s.reorder = std::make_unique<Reorder>();
+    s.reorder->delivered.insert(req.expected_seq);
+  } else {
+    ++s.floor;
+    if (s.reorder) {
+      auto& done = s.reorder->delivered;
+      while (!done.empty() && *done.begin() == s.floor) {
+        done.erase(done.begin());
+        ++s.floor;
+      }
+    }
+  }
+  req.done = true;
+  req.status.source = req.src_logical;
+  req.status.tag = req.tag;
+  req.status.bytes = req.data.size();
+  req.status.failed = false;
+  return req.status;
 }
 
 mpi::Status LogicalComm::wait(LogicalRequest& req) {
@@ -157,24 +189,18 @@ mpi::Status LogicalComm::wait(LogicalRequest& req) {
     return req.status;
   }
 
-  const TagKey k = key(req.src_logical, req.tag);
-  RecvState& ks = recv_state_[k];
+  // Only this process inserts streams, so the reference survives the
+  // blocking waits below (the agent merely reads the table).
+  Stream& ks = shared_->streams.get(key(req.src_logical, req.tag));
   for (;;) {
     // Deliver from the out-of-order stash when possible.
-    if (auto it = ks.stash.find(req.expected_seq); it != ks.stash.end()) {
-      req.data = std::move(it->second);
-      ks.stash.erase(it);
-      ks.delivered.insert(req.expected_seq);
-      while (ks.delivered.count(ks.floor)) {
-        ks.delivered.erase(ks.floor);
-        ++ks.floor;
+    if (ks.reorder) {
+      auto& stash = ks.reorder->stash;
+      if (auto it = stash.find(req.expected_seq); it != stash.end()) {
+        support::Payload data = std::move(it->second);
+        stash.erase(it);
+        return deliver(req, ks, std::move(data));
       }
-      req.done = true;
-      req.status.source = req.src_logical;
-      req.status.tag = req.tag;
-      req.status.bytes = req.data.size();
-      req.status.failed = false;
-      return req.status;
     }
 
     // Pump one physical message for this (source, tag) stream. When we are
@@ -207,12 +233,19 @@ mpi::Status LogicalComm::wait(LogicalRequest& req) {
     REPMPI_CHECK(raw.size() >= sizeof(MsgHeader));
     MsgHeader hdr;
     std::memcpy(&hdr, raw.data(), sizeof(hdr));
-    if (hdr.seq < ks.floor || ks.delivered.count(hdr.seq) ||
-        ks.stash.count(hdr.seq)) {
+    // A shared view past the header — the body is never copied. The
+    // awaited seq cannot be a duplicate (it is neither delivered nor
+    // stashed, or the stash check above would have served it), so it is
+    // handed over directly.
+    if (hdr.seq == req.expected_seq)
+      return deliver(req, ks, raw.suffix(sizeof(MsgHeader)));
+    if (hdr.seq < ks.floor ||
+        (ks.reorder && (ks.reorder->delivered.count(hdr.seq) ||
+                        ks.reorder->stash.count(hdr.seq)))) {
       continue;  // duplicate from replay/cover overlap: drop
     }
-    // Stash a shared view past the header — the body is never copied.
-    ks.stash.emplace(hdr.seq, raw.suffix(sizeof(MsgHeader)));
+    if (!ks.reorder) ks.reorder = std::make_unique<Reorder>();
+    ks.reorder->stash.emplace(hdr.seq, raw.suffix(sizeof(MsgHeader)));
   }
 }
 
@@ -281,17 +314,24 @@ void LogicalComm::agent_loop(sim::Context& ctx, mpi::World& world,
 
     const ControlMsg msg = support::from_buffer<ControlMsg>(st->data);
     // Replay logged messages for the requesting stream from expected_seq on.
-    const TagKey k = key(msg.requester_logical, msg.tag);
-    const auto it = shared.send_log.find(k);
-    if (it == shared.send_log.end()) continue;
+    const Stream* s =
+        shared.streams.find(key(msg.requester_logical, msg.tag));
+    if (s == nullptr || s->log_head == kNoEntry) continue;
     const int dst_phys =
         layout.phys_rank(msg.requester_logical, msg.requester_lane);
     if (world.is_dead(dst_phys)) continue;
-    for (const LoggedMsg& lm : it->second) {
-      if (lm.seq < msg.expected_seq) continue;
-      ctx.delay(model.send_overhead);
-      world.send_payload(my_world, dst_phys, kLogicalChannel,
-                         /*src_comm_rank=*/my_world, msg.tag, lm.payload);
+    // The main process may send (growing the log and the stream table)
+    // while this loop is suspended in delay(): walk the chain by index, up
+    // to the entry that was last when the request was served.
+    const std::uint32_t last = s->log_tail;
+    for (std::uint32_t i = s->log_head;; i = shared.log[i].next) {
+      if (shared.log[i].seq >= msg.expected_seq) {
+        ctx.delay(model.send_overhead);
+        world.send_payload(my_world, dst_phys, kLogicalChannel,
+                           /*src_comm_rank=*/my_world, msg.tag,
+                           shared.log[i].payload);
+      }
+      if (i == last) break;
     }
   }
 }

@@ -33,7 +33,6 @@
 #include <memory>
 #include <set>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "replication/layout.hpp"
@@ -95,8 +94,9 @@ class LogicalComm {
   mpi::Proc& proc() { return proc_; }
   const ReplicaLayout& layout() const { return layout_; }
 
-  /// Lanes of `logical` whose replica has not been announced dead.
-  std::vector<int> alive_lanes(int logical) const;
+  /// Fills `out` with the lanes of `logical` whose replica has not been
+  /// announced dead (reusing its capacity).
+  void alive_lanes(int logical, std::vector<int>& out) const;
 
   /// Intra-parallel-section guard (paper Definition 1: a section cannot
   /// include message passing). The intra runtime flips this; every logical
@@ -174,13 +174,9 @@ class LogicalComm {
   void allgather(std::span<const T> mine, std::span<T> all);
 
  private:
-  struct LoggedMsg {
-    std::uint64_t seq;
-    /// Header + data, ready to resend. Shares the transmitted payload by
-    /// reference: logging a message costs a refcount, not a copy.
-    support::Payload payload;
-  };
   using TagKey = std::uint64_t;  // (logical peer << 32) | tag
+  static constexpr TagKey kNoKey = ~TagKey{0};  // no rank/tag is negative
+  static constexpr std::uint32_t kNoEntry = ~std::uint32_t{0};
 
   static TagKey key(int logical, int tag) {
     return (static_cast<std::uint64_t>(static_cast<std::uint32_t>(logical))
@@ -188,38 +184,113 @@ class LogicalComm {
            static_cast<std::uint32_t>(tag);
   }
 
-  /// Per-stream state is looked up on every message, so the stream tables
-  /// are hash maps, not trees: one mixed-key probe instead of an O(log n)
-  /// pointer chase per send/recv. None of them is ever iterated — all
-  /// access is keyed — so the unordered layout cannot perturb any
-  /// deterministic ordering.
-  struct TagKeyHash {
-    std::size_t operator()(TagKey k) const {
-      k = (k ^ (k >> 30)) * 0xbf58476d1ce4e5b9ULL;
-      k = (k ^ (k >> 27)) * 0x94d049bb133111ebULL;
-      return static_cast<std::size_t>(k ^ (k >> 31));
-    }
+  /// One logged send. A stream's entries are chained by index through the
+  /// shared log, in seq order.
+  struct LoggedMsg {
+    std::uint64_t seq;
+    /// Header + data, ready to resend. Shares the transmitted payload by
+    /// reference: logging a message costs a refcount, not a copy.
+    support::Payload payload;
+    std::uint32_t next = kNoEntry;  ///< the stream's next entry
   };
 
-  /// Shared between the main process and its progress agent (same address
-  /// space; the simulator serializes execution, so no locking is needed).
-  struct SharedState {
-    std::unordered_map<TagKey, std::vector<LoggedMsg>, TagKeyHash> send_log;
+  /// Out-of-order receive state, created the first time a stream sees an
+  /// arrival that is not the one being waited for (two requests waited in
+  /// reverse order, or cover/replay overlap). In-order traffic never
+  /// allocates it.
+  struct Reorder {
+    std::set<std::uint64_t> delivered;  ///< delivered seqs above the floor
+    std::map<std::uint64_t, support::Payload> stash;  ///< early arrivals
   };
 
-  /// Per-(source, tag) in-order delivery state. `floor` is the lowest seq
-  /// not yet handed to the application; `delivered` tracks out-of-order
-  /// completions above the floor; `stash` buffers early arrivals.
-  struct RecvState {
-    std::uint64_t floor = 0;
-    std::set<std::uint64_t> delivered;
-    std::map<std::uint64_t, support::Payload> stash;
+  /// Everything the protocol keeps per (peer, tag) stream, in both
+  /// directions: the sends to `peer` on `tag` and the receives from it.
+  struct Stream {
+    TagKey key = kNoKey;
+    std::uint64_t send_seq = 0;  ///< seq of the next send
+    std::uint64_t recv_seq = 0;  ///< seq the next irecv will expect
+    std::uint64_t floor = 0;     ///< lowest received seq not yet delivered
+    std::uint32_t log_head = kNoEntry;  ///< first logged send
+    std::uint32_t log_tail = kNoEntry;  ///< last logged send
     /// Cover lane this stream has already NACKed (-1: none). A NACK is due
     /// whenever the designated sender is not our own lane and differs from
     /// this — the cover may have sent part of the stream before it learned
     /// of the death, so we must request a replay of the gap.
     int nacked_lane = -1;
+    std::unique_ptr<Reorder> reorder;
   };
+
+  /// Flat open-addressing (linear probing) table of streams. Halo exchanges
+  /// and collectives burn a fresh tag per call, so streams are created at
+  /// message rate and never removed; a flat table makes that a probe into
+  /// one array instead of a node allocation per stream. It is never
+  /// iterated except to rehash, so its layout cannot perturb any
+  /// deterministic ordering. Growing moves the records: callers must not
+  /// hold a Stream& across an insert.
+  class StreamTable {
+   public:
+    StreamTable() : slots_(kInitialSlots) {}
+
+    const Stream* find(TagKey k) const {
+      for (std::size_t i = home(k);; i = (i + 1) & mask()) {
+        if (slots_[i].key == k) return &slots_[i];
+        if (slots_[i].key == kNoKey) return nullptr;
+      }
+    }
+
+    /// The stream for `k`, created empty if absent.
+    Stream& get(TagKey k) {
+      std::size_t i = home(k);
+      for (; slots_[i].key != kNoKey; i = (i + 1) & mask()) {
+        if (slots_[i].key == k) return slots_[i];
+      }
+      if (4 * (size_ + 1) > 3 * slots_.size()) {  // keep load <= 3/4
+        grow();
+        return get(k);
+      }
+      ++size_;
+      slots_[i].key = k;
+      return slots_[i];
+    }
+
+   private:
+    static constexpr std::size_t kInitialSlots = 256;  // a power of two
+
+    std::size_t mask() const { return slots_.size() - 1; }
+
+    std::size_t home(TagKey k) const {
+      k = (k ^ (k >> 30)) * 0xbf58476d1ce4e5b9ULL;
+      k = (k ^ (k >> 27)) * 0x94d049bb133111ebULL;
+      return static_cast<std::size_t>(k ^ (k >> 31)) & mask();
+    }
+
+    void grow() {
+      std::vector<Stream> old(slots_.size() * 2);
+      old.swap(slots_);
+      for (Stream& s : old) {
+        if (s.key == kNoKey) continue;
+        std::size_t i = home(s.key);
+        while (slots_[i].key != kNoKey) i = (i + 1) & mask();
+        slots_[i] = std::move(s);
+      }
+    }
+
+    std::vector<Stream> slots_;
+    std::size_t size_ = 0;
+  };
+
+  /// Shared between the main process and its progress agent (same address
+  /// space; the simulator serializes execution, so no locking is needed).
+  /// Only the main process inserts streams or appends to the log.
+  struct SharedState {
+    StreamTable streams;
+    std::vector<LoggedMsg> log;
+  };
+
+  void append_log(Stream& s, std::uint64_t seq,
+                  const support::Payload& payload);
+  /// Completes `req` with `data`, its stream's seq `req.expected_seq`.
+  mpi::Status deliver(LogicalRequest& req, Stream& s, support::Payload data);
 
   // Designated sender lane for my lane, for messages from `src_logical`.
   int designated_sender_lane(int src_logical) const;
@@ -241,11 +312,7 @@ class LogicalComm {
   std::unique_ptr<mpi::Comm> control_;  ///< NACK/shutdown channel
   std::unique_ptr<mpi::Comm> replica_comm_;
 
-  std::unordered_map<TagKey, std::uint64_t, TagKeyHash> send_seq_;
-  std::unordered_map<TagKey, std::uint64_t, TagKeyHash> recv_seq_;
-  std::unordered_map<TagKey, RecvState, TagKeyHash> recv_state_;
-
-  std::shared_ptr<SharedState> shared_;
+  std::shared_ptr<SharedState> shared_;  ///< replicated only
   sim::Pid agent_pid_ = sim::kNoPid;
   int coll_tag_ = kCollTagBase;
   bool in_section_ = false;

@@ -32,6 +32,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -101,8 +102,9 @@ class ShardRouter {
 };
 
 /// Per-process metrics: virtual time attributed to named phases by
-/// ScopedPhase, collected after the run for bench reporting.
-using PhaseTimes = std::map<std::string, double>;
+/// ScopedPhase, collected after the run for bench reporting. Transparent
+/// comparison lets a phase be looked up by string_view without a copy.
+using PhaseTimes = std::map<std::string, double, std::less<>>;
 
 class World {
  public:
@@ -280,21 +282,57 @@ class World {
     std::shared_ptr<RequestState> req;
   };
 
+  /// Buckets of one match index, keyed by (channel, src, tag), each FIFO
+  /// within its key. Most keys are used once (halo exchanges and logical
+  /// collectives burn a fresh tag per call), so a drained bucket is not
+  /// freed: its hash node, deque included, is parked on a short spare list
+  /// and re-keyed for the next fresh key, which then costs no allocation.
+  template <typename T>
+  struct BucketIndex {
+    using Map = std::unordered_map<MatchKey, std::deque<T>, MatchKeyHash>;
+    static constexpr std::size_t kMaxSpares = 16;
+
+    BucketIndex() = default;
+    BucketIndex(BucketIndex&&) = default;
+    BucketIndex(const BucketIndex&) = delete;  // node handles are move-only
+
+    Map map;
+    std::vector<typename Map::node_type> spares;
+
+    /// The bucket for `k`, created (from a spare when one is parked) if
+    /// absent.
+    std::deque<T>& bucket(const MatchKey& k) {
+      auto it = map.find(k);
+      if (it != map.end()) return it->second;
+      if (spares.empty()) return map[k];
+      typename Map::node_type node = std::move(spares.back());
+      spares.pop_back();
+      node.key() = k;
+      return map.insert(std::move(node)).position->second;
+    }
+
+    /// Removes the bucket at `it` (drained or not); returns the next one.
+    typename Map::iterator drop(typename Map::iterator it) {
+      if (spares.size() == kMaxSpares) return map.erase(it);
+      auto next = std::next(it);
+      it->second.clear();
+      spares.push_back(map.extract(it));
+      return next;
+    }
+  };
+
   struct RankState {
     sim::Pid pid = sim::kNoPid;
     bool dead = false;  // crash happened (announced view lives in announced_)
-    /// Exact-match posted receives, bucketed by (channel, src, tag); each
-    /// bucket is FIFO in post order. Buckets are erased when drained.
-    std::unordered_map<MatchKey, std::deque<PostedRecv>, MatchKeyHash>
-        posted_exact;
+    /// Exact-match posted receives; each bucket is FIFO in post order.
+    /// Buckets are dropped when drained.
+    BucketIndex<PostedRecv> posted_exact;
     /// Receives with a wildcard source and/or tag, in post order.
     std::deque<PostedRecv> posted_wild;
     std::uint64_t next_post_seq = 0;
-    /// Unexpected envelopes, bucketed by (channel, src, tag); each bucket is
-    /// FIFO in arrival order, and Envelope::seq gives the global arrival
-    /// order for wildcard scans.
-    std::unordered_map<MatchKey, std::deque<Envelope>, MatchKeyHash>
-        unexpected;
+    /// Unexpected envelopes; each bucket is FIFO in arrival order, and
+    /// Envelope::seq gives the global arrival order for wildcard scans.
+    BucketIndex<Envelope> unexpected;
     std::uint64_t next_arrival_seq = 0;
     std::size_t unexpected_count = 0;
     std::uint64_t next_xsend_seq = 0;  ///< internode send order (sharded)
@@ -396,9 +434,14 @@ class Proc {
   /// Charges an explicit duration (e.g., modeled I/O).
   void elapse(double seconds) { ctx_.delay(seconds); }
 
-  /// Accumulates virtual time into a named phase bucket.
-  void add_phase_time(const std::string& phase, double dt) {
-    world_.phases_of(world_rank_)[phase] += dt;
+  /// The accumulator of a named phase, created at zero on first use. Map
+  /// nodes are stable, so the reference stays valid for the whole run.
+  double& phase_slot(std::string_view phase) {
+    PhaseTimes& phases = world_.phases_of(world_rank_);
+    auto it = phases.lower_bound(phase);
+    if (it == phases.end() || it->first != phase)
+      it = phases.emplace_hint(it, phase, 0.0);
+    return it->second;
   }
 
  private:
@@ -408,18 +451,19 @@ class Proc {
 };
 
 /// RAII phase timer: attributes the enclosed virtual time span to `phase`.
+/// The phase's accumulator is resolved once on entry; exit only adds.
 class ScopedPhase {
  public:
-  ScopedPhase(Proc& proc, std::string phase)
-      : proc_(proc), phase_(std::move(phase)), start_(proc.now()) {}
-  ~ScopedPhase() { proc_.add_phase_time(phase_, proc_.now() - start_); }
+  ScopedPhase(Proc& proc, std::string_view phase)
+      : proc_(proc), slot_(proc.phase_slot(phase)), start_(proc.now()) {}
+  ~ScopedPhase() { slot_ += proc_.now() - start_; }
 
   ScopedPhase(const ScopedPhase&) = delete;
   ScopedPhase& operator=(const ScopedPhase&) = delete;
 
  private:
   Proc& proc_;
-  std::string phase_;
+  double& slot_;
   sim::Time start_;
 };
 

@@ -33,6 +33,7 @@
 
 #include <atomic>
 #include <cstddef>
+#include <cstdint>
 #include <cstring>
 #include <new>
 #include <span>
@@ -52,33 +53,29 @@ class Payload {
 
   /// Captures a copy of `bytes` (the single copy a payload ever makes).
   explicit Payload(std::span<const std::byte> bytes)
-      : size_(static_cast<std::uint32_t>(bytes.size())),
-        offset_(0),
-        heap_(bytes.size() > kInlineCapacity) {
-    if (heap_) {
-      rep_.shared = acquire(bytes.size());
-      std::memcpy(rep_.shared->bytes.data(), bytes.data(), bytes.size());
-    } else if (!bytes.empty()) {
-      std::memcpy(rep_.inline_bytes, bytes.data(), bytes.size());
-    }
-  }
+      : Payload(concat(bytes, {})) {}
 
-  /// Captures `a` followed by `b` in one buffer (header + body sends).
+  /// Captures `a` followed by `b` in one buffer (header + body sends). A
+  /// heap block is filled by appending into its (recycled) capacity, so the
+  /// bytes are written once, never zero-filled first.
   static Payload concat(std::span<const std::byte> a,
                         std::span<const std::byte> b) {
     Payload p;
     const std::size_t n = a.size() + b.size();
+    REPMPI_CHECK_MSG(n <= UINT32_MAX,
+                     "payload of " << n << " bytes exceeds the 4 GiB limit");
     p.size_ = static_cast<std::uint32_t>(n);
     p.heap_ = n > kInlineCapacity;
-    std::byte* dst;
     if (p.heap_) {
       p.rep_.shared = acquire(n);
-      dst = p.rep_.shared->bytes.data();
+      Buffer& dst = p.rep_.shared->bytes;
+      dst.insert(dst.end(), a.begin(), a.end());
+      dst.insert(dst.end(), b.begin(), b.end());
     } else {
-      dst = p.rep_.inline_bytes;
+      if (!a.empty()) std::memcpy(p.rep_.inline_bytes, a.data(), a.size());
+      if (!b.empty())
+        std::memcpy(p.rep_.inline_bytes + a.size(), b.data(), b.size());
     }
-    if (!a.empty()) std::memcpy(dst, a.data(), a.size());
-    if (!b.empty()) std::memcpy(dst + a.size(), b.data(), b.size());
     return p;
   }
 
@@ -220,7 +217,7 @@ class Payload {
     }
     s->refs.store(1, std::memory_order_relaxed);
     s->next_free = nullptr;
-    s->bytes.resize(n);
+    s->bytes.reserve(n);  // empty: the caller appends the captured bytes
     return s;
   }
 

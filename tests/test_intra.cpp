@@ -213,6 +213,92 @@ TEST(Intra, MultipleSectionsReuseRuntime) {
   for (const auto& [rank, x] : finals) EXPECT_DOUBLE_EQ(x, 32.0);
 }
 
+TEST(Intra, FewerTasksAfterManyRunsNoStaleTask) {
+  // Task slots outlive their section. A 16-task section followed by a
+  // 4-task one on other memory: the second section must run and await only
+  // its own 4 tasks, leaving the first section's bindings untouched.
+  RepFixture f(1, 2);
+  std::map<int, std::vector<double>> big_after, small_after;
+  std::map<int, std::int64_t> second_executed, second_received;
+  f.run([&](mpi::Proc& proc, rep::LogicalComm& comm) {
+    Runtime rt(comm, {.mode = Runtime::Mode::kShared,
+                      .verify_consistency = true});
+    auto add_one = [](TaskArgs& a) -> net::ComputeCost {
+      for (double& x : a.get<double>(0)) x += 1.0;
+      return {1.0, 16.0};
+    };
+    std::vector<double> big(64, 0.0), small(16, 100.0);
+    {
+      Section s(rt);
+      const int id = rt.register_task(add_one, {{ArgTag::kInOut, 8}});
+      for (int t = 0; t < 16; ++t)
+        rt.launch(id, {Binding::of(std::span<double>(big).subspan(
+                          static_cast<std::size_t>(t) * 4, 4))});
+    }
+    std::fill(big.begin(), big.end(), -7.0);  // any stale task would move it
+    const IntraStats before = rt.stats();
+    {
+      Section s(rt);
+      const int id = rt.register_task(add_one, {{ArgTag::kInOut, 8}});
+      for (int t = 0; t < 4; ++t)
+        rt.launch(id, {Binding::of(std::span<double>(small).subspan(
+                          static_cast<std::size_t>(t) * 4, 4))});
+    }
+    big_after[proc.world_rank()] = big;
+    small_after[proc.world_rank()] = small;
+    second_executed[proc.world_rank()] =
+        rt.stats().tasks_executed - before.tasks_executed;
+    second_received[proc.world_rank()] =
+        rt.stats().tasks_received - before.tasks_received;
+  });
+  for (int rank : {0, 1}) {
+    EXPECT_EQ(big_after.at(rank), std::vector<double>(64, -7.0));
+    EXPECT_EQ(small_after.at(rank), std::vector<double>(16, 101.0));
+    EXPECT_EQ(second_executed.at(rank), 2);
+    EXPECT_EQ(second_received.at(rank), 2);
+  }
+}
+
+TEST(Intra, LaunchFromBracedListAndVectorAgree) {
+  // The braced-list launch()/register_task() overloads forward to the span
+  // ones: both spellings give the same outputs and the same virtual time.
+  auto run = [](bool braced) {
+    RepFixture f(2, 2);
+    std::map<int, std::vector<double>> w;
+    f.run([&](mpi::Proc& proc, rep::LogicalComm& comm) {
+      Runtime rt(comm, {.mode = Runtime::Mode::kShared});
+      VectorsPerRank v(64);
+      double alpha = 1.25, beta = -2.0;
+      if (braced) {
+        run_waxpby_section(rt, alpha, beta, v.x, v.y, v.w, 8);
+      } else {
+        Section section(rt);
+        const std::vector<ArgSpec> specs{{ArgTag::kIn, 8}, {ArgTag::kIn, 8},
+                                         {ArgTag::kIn, 8}, {ArgTag::kIn, 8},
+                                         {ArgTag::kOut, 8}};
+        const int id = rt.register_task(waxpby_task, specs);
+        std::vector<Binding> bindings;
+        for (std::size_t off = 0; off < 64; off += 8) {
+          bindings = {Binding::scalar(alpha), Binding::scalar(beta),
+                      Binding::of(std::span<double>(v.x).subspan(off, 8)),
+                      Binding::of(std::span<double>(v.y).subspan(off, 8)),
+                      Binding::of(std::span<double>(v.w).subspan(off, 8))};
+          rt.launch(id, bindings);
+        }
+      }
+      w[proc.world_rank()] = v.w;
+      w[proc.world_rank()].push_back(proc.now());
+    });
+    return w;
+  };
+  const auto braced = run(true);
+  const auto vectored = run(false);
+  EXPECT_EQ(braced, vectored);
+  ASSERT_EQ(braced.size(), 4u);
+  EXPECT_DOUBLE_EQ(braced.at(0)[9],
+                   1.25 * (9 * 0.25) - 2.0 * (1.0 - 9 * 0.125));
+}
+
 TEST(Intra, HeterogeneousTaskTypesInOneSection) {
   // Two registered task types in one section. Note the two tasks touching
   // vector `b` are input-dependent only in the launch order used here if we

@@ -187,6 +187,48 @@ TEST(IntraFailure, CrashInLaterSectionAfterSharingWorked) {
   EXPECT_EQ(results.at(0), expected_inout(3));
 }
 
+TEST(IntraFailure, ReexecutionRestoresThisSectionsPreImage) {
+  // Fig. 2 in the second of two sections that reuse the same task slots
+  // (and their pre-image buffers). Each section runs a = a + 1, b = 2a on
+  // lane 1; in section 2 lane 1 sends a = 3 and dies before b. Lane 0 must
+  // roll a back to section 2's pre-image (2) and re-execute: a = 3, b = 6.
+  // No rollback gives a = 4, b = 8; section 1's pre-image gives a = 2, b = 4.
+  RepFixture f(1, 2);
+  std::map<int, std::pair<double, double>> results;
+  fault::FaultPlan plan;
+  plan.add({.world_rank = 1, .site = fault::CrashSite::kBetweenArgSends,
+            .nth = 2, .detail = 1});
+  f.run([&](mpi::Proc& proc, rep::LogicalComm& comm) {
+    Runtime rt(comm, {.mode = Runtime::Mode::kShared, .faults = &plan});
+    double a = 1.0, b = 0.0;
+    double dummy = 0.0;  // occupies lane 0 so the a/b task goes to lane 1
+    for (int section = 0; section < 2; ++section) {
+      Section s(rt);
+      const int id_dummy = rt.register_task(
+          [](TaskArgs& ar) -> net::ComputeCost {
+            ar.scalar<double>(0) += 1.0;
+            return {1.0, 8.0};
+          },
+          {{ArgTag::kInOut, 8}});
+      const int id_ab = rt.register_task(
+          [](TaskArgs& ar) -> net::ComputeCost {
+            double& av = ar.scalar<double>(0);
+            av = av + 1.0;
+            ar.scalar<double>(1) = av * 2.0;
+            return {2.0, 32.0};
+          },
+          {{ArgTag::kInOut, 8}, {ArgTag::kOut, 8}});
+      rt.launch(id_dummy, {Binding::scalar(dummy)});
+      rt.launch(id_ab, {Binding::scalar(a), Binding::scalar(b)});
+    }
+    results[proc.world_rank()] = {a, b};
+  });
+  ASSERT_EQ(results.count(0), 1u);
+  EXPECT_EQ(results.count(1), 0u);
+  EXPECT_DOUBLE_EQ(results.at(0).first, 3.0);
+  EXPECT_DOUBLE_EQ(results.at(0).second, 6.0);
+}
+
 TEST(IntraFailure, Lane0CrashAlsoHandled) {
   fault::FaultPlan plan;
   plan.add({.world_rank = 0, .site = fault::CrashSite::kAfterTaskExec,

@@ -346,6 +346,99 @@ TEST(Matching, FocusedWaitStillWokenByFailureOfAwaitedPeer) {
   EXPECT_TRUE(failed);
 }
 
+// --- Bucket recycling under fresh-key churn ---------------------------------
+
+TEST(Matching, FreshKeyChurnReusesBucketsKeepingOrder) {
+  // Halo exchanges and logical collectives use every (src, tag) key once,
+  // so drained posted/unexpected buckets are recycled for the next fresh
+  // key. Through thousands of such keys the engine must keep per-key FIFO
+  // (unexpected and posted), the wildcard post-order rule and the
+  // death-failure semantics, and a purged bucket must come back empty.
+  constexpr int kKeys = 2000;
+  MpiFixture f(3);
+  int fifo_errors = 0, posted_errors = 0;
+  int wild_val = -1, exact_val = -1;
+  int dead_failed = 0;
+  std::size_t purged = 0;
+  std::vector<int> after_death;
+  f.run([&](Proc& proc, Comm& comm) {
+    if (comm.rank() == 0) {
+      // Phase 1: two messages per fresh tag, all landing unexpected.
+      for (int t = 0; t < kKeys; ++t) {
+        comm.send_value(1, t, 2 * t);
+        comm.send_value(1, t, 2 * t + 1);
+      }
+      // Phase 2: the receiver has posted two receives per fresh tag.
+      proc.elapse(1.0);
+      for (int t = 0; t < kKeys; ++t) {
+        comm.send_value(1, kKeys + t, 2 * t);
+        comm.send_value(1, kKeys + t, 2 * t + 1);
+      }
+      // Phase 3: a wildcard posted before an exact receive wins.
+      proc.elapse(1.0);
+      comm.send_value(1, 3 * kKeys, 11);
+      comm.send_value(1, 3 * kKeys, 22);
+      for (int i = 1; i <= 3; ++i) comm.send_value(1, 7 * kKeys, i);  // purged
+      // Phase 4: after rank 2's death, ordinary traffic still matches, on
+      // fresh keys and on the purged one.
+      proc.elapse(2.0);
+      comm.send_value(1, 4 * kKeys, 33);
+      comm.send_value(1, 7 * kKeys + 1, 44);
+      comm.send_value(1, 7 * kKeys, 55);
+    } else if (comm.rank() == 1) {
+      proc.elapse(0.5);  // phase 1 traffic is all unexpected by now
+      for (int t = 0; t < kKeys; ++t) {
+        if (comm.recv_value<int>(0, t) != 2 * t) ++fifo_errors;
+        if (comm.recv_value<int>(0, t) != 2 * t + 1) ++fifo_errors;
+      }
+      std::vector<Request> reqs;
+      reqs.reserve(2 * kKeys);
+      for (int t = 0; t < kKeys; ++t) {
+        reqs.push_back(comm.irecv(0, kKeys + t));
+        reqs.push_back(comm.irecv(0, kKeys + t));
+      }
+      comm.waitall(reqs);
+      for (int t = 0; t < kKeys; ++t) {
+        const auto i = static_cast<std::size_t>(2 * t);
+        if (support::from_buffer<int>(reqs[i].state().data) != 2 * t ||
+            support::from_buffer<int>(reqs[i + 1].state().data) != 2 * t + 1)
+          ++posted_errors;
+      }
+      Request wild = comm.irecv(kAnySource, 3 * kKeys);
+      Request exact = comm.irecv(0, 3 * kKeys);
+      comm.wait(wild);
+      comm.wait(exact);
+      wild_val = support::from_buffer<int>(wild.state().data);
+      exact_val = support::from_buffer<int>(exact.state().data);
+      proc.elapse(0.1);  // the three tag-7k messages are queued
+      purged = proc.world().purge_unexpected(proc.world_rank(),
+                                             comm.channel(), 0);
+      // Posted receives awaiting the (soon) dead rank 2 on fresh keys fail;
+      // one posted after the announcement fails fast.
+      std::vector<Request> doomed;
+      for (int t = 0; t < 8; ++t)
+        doomed.push_back(comm.irecv(2, 5 * kKeys + t));
+      for (Request& r : doomed) dead_failed += comm.wait(r).failed ? 1 : 0;
+      Request late = comm.irecv(2, 6 * kKeys);
+      dead_failed += comm.wait(late).failed ? 1 : 0;
+      after_death.push_back(comm.recv_value<int>(0, 4 * kKeys));
+      after_death.push_back(comm.recv_value<int>(0, 7 * kKeys + 1));
+      after_death.push_back(comm.recv_value<int>(0, 7 * kKeys));
+    } else {
+      proc.elapse(2.5);
+      proc.world().crash(2);
+      proc.elapse(10.0);
+    }
+  });
+  EXPECT_EQ(fifo_errors, 0);
+  EXPECT_EQ(posted_errors, 0);
+  EXPECT_EQ(wild_val, 11);
+  EXPECT_EQ(exact_val, 22);
+  EXPECT_EQ(dead_failed, 9);
+  EXPECT_EQ(purged, 3u);
+  EXPECT_EQ(after_death, (std::vector<int>{33, 44, 55}));
+}
+
 // --- Zero-copy payload substrate -------------------------------------------
 
 TEST(PayloadContract, InlineSmallBufferNeverAllocates) {
@@ -397,6 +490,47 @@ TEST(PayloadContract, PoolRecyclesBlocks) {
   support::Payload q{std::span<const std::byte>(big)};
   const auto after = support::Payload::pool_stats();
   EXPECT_EQ(after.blocks_reused, before.blocks_reused + 1);
+}
+
+TEST(PayloadContract, RecycledLargerBlockHoldsExactlyTheCapturedBytes) {
+  // A block recycled from a bigger payload keeps its capacity; a smaller
+  // capture into it must expose exactly the new bytes and size — through
+  // both the single-span and the header+body (concat) constructors.
+  std::vector<std::byte> big(8192, std::byte{0xee});
+  { support::Payload p{std::span<const std::byte>(big)}; }
+  std::vector<std::byte> body(300);
+  for (std::size_t i = 0; i < body.size(); ++i)
+    body[i] = static_cast<std::byte>(i * 7);
+  const auto before = support::Payload::pool_stats();
+  support::Payload q{std::span<const std::byte>(body)};
+  EXPECT_EQ(support::Payload::pool_stats().blocks_reused,
+            before.blocks_reused + 1);
+  ASSERT_EQ(q.size(), body.size());
+  EXPECT_EQ(std::memcmp(q.data(), body.data(), body.size()), 0);
+  support::Buffer taken = std::move(q).take_buffer();
+  EXPECT_EQ(taken, support::Buffer(body.begin(), body.end()));
+
+  { support::Payload p{std::span<const std::byte>(big)}; }
+  const std::uint64_t header = 0x0102030405060708ULL;
+  support::Payload c =
+      support::Payload::concat(support::as_bytes_of(header), body);
+  ASSERT_EQ(c.size(), sizeof(header) + body.size());
+  EXPECT_EQ(std::memcmp(c.data(), &header, sizeof(header)), 0);
+  EXPECT_EQ(std::memcmp(c.data() + sizeof(header), body.data(), body.size()),
+            0);
+  support::Payload tail = c.suffix(sizeof(header));
+  EXPECT_EQ(support::Buffer(tail.data(), tail.data() + tail.size()),
+            support::Buffer(body.begin(), body.end()));
+}
+
+TEST(PayloadContract, FourGibibytesFailsLoudly) {
+  // The size field is 32 bits: a 4 GiB capture must throw before touching
+  // any memory rather than truncate. The span is never read.
+  const std::byte one{1};
+  const std::span<const std::byte> huge(&one, std::size_t{1} << 32);
+  EXPECT_THROW(support::Payload{huge}, support::InvariantError);
+  EXPECT_THROW(support::Payload::concat(huge.first(8), huge),
+               support::InvariantError);
 }
 
 }  // namespace

@@ -164,6 +164,36 @@ TEST(Replication, ReplicaCommConnectsLanes) {
   EXPECT_EQ(got.at(3), 100);  // logical 1 lane 1
 }
 
+TEST(Replication, ReverseOrderWaitsDeliverBySeq) {
+  // Three receives on one (peer, tag) stream, waited last-first: the first
+  // wait pumps the two earlier messages into the out-of-order stash and
+  // takes its own directly; the others are served from the stash. Every
+  // request gets exactly its own seq's message, and the stream keeps going
+  // in order afterwards.
+  RepFixture f(2, 2);
+  std::map<int, std::vector<int>> got;  // world rank -> values by request
+  f.run([&](mpi::Proc& proc, LogicalComm& comm) {
+    if (comm.rank() == 0) {
+      for (int i = 0; i < 4; ++i) comm.send_value(1, 7, 10 * (i + 1));
+      return;
+    }
+    proc.elapse(0.01);  // all four messages are waiting
+    LogicalRequest r0 = comm.irecv(0, 7);
+    LogicalRequest r1 = comm.irecv(0, 7);
+    LogicalRequest r2 = comm.irecv(0, 7);
+    comm.wait(r2);
+    comm.wait(r0);
+    comm.wait(r1);
+    std::vector<int>& v = got[proc.world_rank()];
+    for (LogicalRequest* r : {&r0, &r1, &r2})
+      v.push_back(support::from_buffer<int>(r->data));
+    v.push_back(comm.recv_value<int>(0, 7));
+  });
+  ASSERT_EQ(got.size(), 2u);
+  for (const auto& [rank, v] : got)
+    EXPECT_EQ(v, (std::vector<int>{10, 20, 30, 40})) << "world rank " << rank;
+}
+
 // --- Failure handling -------------------------------------------------------
 
 TEST(ReplicationFailure, SurvivorsFinishAfterLaneCrash) {
@@ -236,6 +266,63 @@ TEST(ReplicationFailure, MidStreamCrashDeliversExactlyOnce) {
   });
   EXPECT_EQ(lane1_got,
             (std::vector<int>{100, 101, 102, 103, 104, 105, 106, 107}));
+}
+
+TEST(ReplicationFailure, FreshTagChurnThenCrashReplaysExactlyOnce) {
+  // The halo/collective pattern: thousands of streams, each on a fresh tag
+  // and carrying traffic both ways (two messages out, one reply back), so
+  // one stream record holds send and receive state and the stream table
+  // grows many times. One long-lived stream runs alongside and must keep
+  // its seqs and its logged sends through every growth. Sender lane 1 dies
+  // part-way; its receiver partner must get every remaining message
+  // exactly once, in order, from the cover's log (NACK replay per stream,
+  // duplicates dropped).
+  constexpr int kTags = 3000;
+  constexpr int kCrashAt = 1200;
+  constexpr int kLongLived = kTags;
+  RepFixture f(2, 2);
+  std::map<int, std::vector<int>> got;  // world rank -> received values
+  std::map<int, std::vector<int>> long_lived;
+  f.run([&](mpi::Proc& proc, LogicalComm& comm) {
+    std::vector<int>& v = got[proc.world_rank()];
+    for (int t = 0; t < kTags; ++t) {
+      if (comm.rank() == 0) {
+        if (comm.lane() == 1 && t == kCrashAt) {
+          proc.world().crash(proc.world_rank());
+          proc.elapse(1.0);
+        }
+        comm.send_value(1, t, 2 * t);
+        comm.send_value(1, kLongLived, t);
+        comm.send_value(1, t, 2 * t + 1);
+        v.push_back(comm.recv_value<int>(1, t));
+      } else {
+        v.push_back(comm.recv_value<int>(0, t));
+        v.push_back(comm.recv_value<int>(0, t));
+        // The long-lived stream falls behind by up to 8 messages, which
+        // stay in its log only.
+        if (t % 8 == 7 || t == kTags - 1) {
+          while (long_lived[proc.world_rank()].size() <=
+                 static_cast<std::size_t>(t))
+            long_lived[proc.world_rank()].push_back(
+                comm.recv_value<int>(0, kLongLived));
+        }
+        comm.send_value(0, t, -t);
+      }
+    }
+  });
+  std::vector<int> want_recv, want_reply, want_long;
+  for (int t = 0; t < kTags; ++t) {
+    want_recv.push_back(2 * t);
+    want_recv.push_back(2 * t + 1);
+    want_reply.push_back(-t);
+    want_long.push_back(t);
+  }
+  EXPECT_EQ(got.at(0), want_reply);  // logical 0 lane 0: the cover
+  EXPECT_EQ(got.at(1), want_recv);   // logical 1 lane 0
+  EXPECT_EQ(got.at(3), want_recv);   // logical 1 lane 1: partner of the dead
+  EXPECT_EQ(got.at(2).size(), static_cast<std::size_t>(kCrashAt));
+  EXPECT_EQ(long_lived.at(1), want_long);
+  EXPECT_EQ(long_lived.at(3), want_long);
 }
 
 TEST(ReplicationFailure, AllreduceSurvivesLaneCrash) {
