@@ -13,7 +13,6 @@ namespace {
 
 REPMPI_BENCH(fig6a, "AMG2013, 27-point stencil, PCG solver") {
   const Options& opt = ctx.opt();
-  const int shards = static_cast<int>(opt.get_int("shards", 0));
   const int procs = static_cast<int>(opt.get_int("procs", 16));
   const int nx = static_cast<int>(opt.get_int("nx", 24));
   const int iters = static_cast<int>(opt.get_int("iters", 4));
@@ -40,15 +39,12 @@ REPMPI_BENCH(fig6a, "AMG2013, 27-point stencil, PCG solver") {
                          [&](apps::AppContext& ctx) { apps::amg(ctx, p); });
   };
   std::vector<Fig6Row> rows;
-  rows.push_back(fig6_run(RunMode::kNative, procs, "Open MPI", sections, body,
-                          shards));
   rows.push_back(
-      fig6_run(RunMode::kReplicated, procs, "SDR-MPI", sections, body,
-               shards));
-  rows.push_back(fig6_run(RunMode::kIntra, procs, "intra", sections, body,
-                          shards));
+      fig6_run(RunMode::kNative, procs, "Open MPI", sections, body));
+  rows.push_back(
+      fig6_run(RunMode::kReplicated, procs, "SDR-MPI", sections, body));
+  rows.push_back(fig6_run(RunMode::kIntra, procs, "intra", sections, body));
   fig6_print(ctx.out(), rows, rows[0].total, 2);
-  fig6_shard_metrics(ctx, rows, shards);
   ctx.metric("eff_sdr", rows[1].efficiency);
   ctx.metric("eff_intra", rows[2].efficiency);
   ctx.metric("sections_share_native",

@@ -13,7 +13,6 @@ namespace {
 
 REPMPI_BENCH(fig6c, "GTC gyrokinetic particle-in-cell") {
   const Options& opt = ctx.opt();
-  const int shards = static_cast<int>(opt.get_int("shards", 0));
   const int procs = static_cast<int>(opt.get_int("procs", 16));
   const std::size_t particles =
       static_cast<std::size_t>(opt.get_int("particles", 40000));
@@ -41,15 +40,12 @@ REPMPI_BENCH(fig6c, "GTC gyrokinetic particle-in-cell") {
     return r;
   };
   std::vector<Fig6Row> rows;
-  rows.push_back(fig6_run(RunMode::kNative, procs, "Open MPI", sections, body,
-                          shards));
   rows.push_back(
-      fig6_run(RunMode::kReplicated, procs, "SDR-MPI", sections, body,
-               shards));
-  rows.push_back(fig6_run(RunMode::kIntra, procs, "intra", sections, body,
-                          shards));
+      fig6_run(RunMode::kNative, procs, "Open MPI", sections, body));
+  rows.push_back(
+      fig6_run(RunMode::kReplicated, procs, "SDR-MPI", sections, body));
+  rows.push_back(fig6_run(RunMode::kIntra, procs, "intra", sections, body));
   fig6_print(ctx.out(), rows, rows[0].total, 2);
-  fig6_shard_metrics(ctx, rows, shards);
 
   // The paper's inout observation: extra-copy overhead on affected tasks.
   const double copy_share =

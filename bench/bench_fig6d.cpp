@@ -15,7 +15,6 @@ namespace {
 
 REPMPI_BENCH(fig6d, "MiniGhost 27-point stencil halo exchange") {
   const Options& opt = ctx.opt();
-  const int shards = static_cast<int>(opt.get_int("shards", 0));
   const int procs = static_cast<int>(opt.get_int("procs", 16));
   const int nx = static_cast<int>(opt.get_int("nx", 32));
   const int nz = static_cast<int>(opt.get_int("nz", 16));
@@ -41,15 +40,12 @@ REPMPI_BENCH(fig6d, "MiniGhost 27-point stencil halo exchange") {
         cfg, [&](apps::AppContext& ctx) { apps::minighost(ctx, p); });
   };
   std::vector<Fig6Row> rows;
-  rows.push_back(fig6_run(RunMode::kNative, procs, "Open MPI", sections, body,
-                          shards));
   rows.push_back(
-      fig6_run(RunMode::kReplicated, procs, "SDR-MPI", sections, body,
-               shards));
-  rows.push_back(fig6_run(RunMode::kIntra, procs, "intra", sections, body,
-                          shards));
+      fig6_run(RunMode::kNative, procs, "Open MPI", sections, body));
+  rows.push_back(
+      fig6_run(RunMode::kReplicated, procs, "SDR-MPI", sections, body));
+  rows.push_back(fig6_run(RunMode::kIntra, procs, "intra", sections, body));
   fig6_print(ctx.out(), rows, rows[0].total, 2);
-  fig6_shard_metrics(ctx, rows, shards);
 
   // The configuration the paper rejected: intra-parallelizing the stencil
   // itself buys nothing (update = full grid).

@@ -8,8 +8,7 @@
 //
 // All scenario randomness is drawn from support::Rng with fixed seeds
 // *before* the simulation starts; every reported metric is a function of
-// virtual time alone and is bit-identical across --jobs / --shards /
-// --backend.
+// virtual time alone and is bit-identical across --jobs / --backend.
 
 #include <cmath>
 #include <cstdint>
@@ -56,7 +55,6 @@ REPMPI_BENCH(hostile_correlated,
   const int cores_per_node = 4;
   const int nodes_per_domain = 3;
   const apps::HpccgParams p = hpccg_params(opt);
-  const int shards = static_cast<int>(opt.get_int("shards", 0));
 
   print_header(ctx.out(), "H1 — correlated domain kills vs replica placement",
                "beyond the paper: ROADMAP open item 5 (hostile machines)",
@@ -71,7 +69,6 @@ REPMPI_BENCH(hostile_correlated,
   cfg.cores_per_node = cores_per_node;
   cfg.nodes_per_domain = nodes_per_domain;
   cfg.domain_aware_placement = false;  // the paper's plain placement
-  cfg.shards = shards;
 
   const rep::ReplicaLayout layout{num_logical, 2};
   const net::Topology naive = layout.make_topology_domains(
@@ -164,7 +161,6 @@ REPMPI_BENCH(hostile_stragglers, "H2: straggler nodes vs 1/max-slowdown") {
   const Options& opt = ctx.opt();
   const int procs = static_cast<int>(opt.get_int("procs", 8));
   const apps::HpccgParams p = hpccg_params(opt);
-  const int shards = static_cast<int>(opt.get_int("shards", 0));
 
   print_header(ctx.out(), "H2 — straggler nodes vs the 1/max-slowdown bound",
                "beyond the paper: ROADMAP open item 5 (hostile machines)",
@@ -175,7 +171,6 @@ REPMPI_BENCH(hostile_stragglers, "H2: straggler nodes vs 1/max-slowdown") {
   RunConfig cfg;
   cfg.mode = RunMode::kIntra;
   cfg.num_logical = procs / 2;
-  cfg.shards = shards;
   const rep::ReplicaLayout layout{cfg.num_logical, 2};
   const int num_nodes =
       layout.make_topology(cfg.cores_per_node).num_nodes();
@@ -232,7 +227,6 @@ REPMPI_BENCH(hostile_sdc, "H3: bursty SDC via NHPP thinning") {
   const Options& opt = ctx.opt();
   const int procs = static_cast<int>(opt.get_int("procs", 8));
   const apps::HpccgParams p = hpccg_params(opt);
-  const int shards = static_cast<int>(opt.get_int("shards", 0));
 
   print_header(ctx.out(), "H3 — bursty SDC (NHPP thinning) vs re-execution model",
                "beyond the paper: ROADMAP open item 5; NHPP thinning cf. "
@@ -243,7 +237,6 @@ REPMPI_BENCH(hostile_sdc, "H3: bursty SDC via NHPP thinning") {
   RunConfig cfg;
   cfg.mode = RunMode::kReplicatedVerify;
   cfg.num_logical = procs / 2;
-  cfg.shards = shards;
 
   const RunResult free_res = run_hpccg(cfg, p);
   const double t_free = free_res.wallclock;

@@ -90,11 +90,6 @@ void print_usage() {
          "--repeat=N runs each selected bench N times and reports the run\n"
          "with the median wall time (virtual-time metrics are identical\n"
          "across repeats; CI uses this to de-noise the perf trajectory).\n"
-         "--shards=N splits each simulation in the benches that support\n"
-         "it (the fig6 panels) across N simulator shards synchronized by\n"
-         "conservative time windows; virtual-time results are\n"
-         "bit-identical at any shard count, and sharded runs report\n"
-         "host_shard_count/windows/cross_messages.\n"
          "--backend={auto,scalar,avx2,avx512} selects the host kernel\n"
          "backend for the batch kernels (SpMV, stencil, PIC, vector ops).\n"
          "auto (default) picks the best the CPU supports. Virtual-time\n"
@@ -299,13 +294,13 @@ BenchOutcome run_median(const BenchInfo& info, const support::Options& opt,
 }
 
 int driver(int argc, char** argv) {
-  // "--jobs N" / "--repeat N" / "--shards N" work in addition to the =
+  // "--jobs N", "--repeat N" and the other keys below work in addition to the =
   // forms. Only these are value keys: making `json` one would change the
   // meaning of existing "--json <bench>" invocations (the positional .json
   // fallback below already covers "--json file.json").
-  support::Options opt(argc, argv, {"jobs", "repeat", "shards",
-                                    "timeout-sec", "backend"});
-  for (const char* key : {"jobs", "repeat", "shards", "timeout-sec"}) {
+  support::Options opt(argc, argv,
+                       {"jobs", "repeat", "timeout-sec", "backend"});
+  for (const char* key : {"jobs", "repeat", "timeout-sec"}) {
     if (!opt.has(key)) continue;
     const std::string v = opt.get(key);
     // A bare flag parses as "true"; reject it like any non-number instead
@@ -408,10 +403,9 @@ int driver(int argc, char** argv) {
     }
     return true;
   };
-  long jobs_opt = 0, repeat_opt = 0, shards_opt = 0, timeout_opt = 0;
+  long jobs_opt = 0, repeat_opt = 0, timeout_opt = 0;
   if (!ranged("jobs", support::TaskPool::default_jobs(), 1, 256, jobs_opt) ||
       !ranged("repeat", 1, 1, 99, repeat_opt) ||
-      (opt.has("shards") && !ranged("shards", 1, 1, 64, shards_opt)) ||
       (opt.has("timeout-sec") &&
        !ranged("timeout-sec", 0, 1, 86400, timeout_opt))) {
     return 2;

@@ -20,21 +20,15 @@ struct Fig6Row {
   double sections = 0;
   double others = 0;
   double efficiency = 0;
-  std::uint64_t shard_windows = 0;          ///< sharded runs only
-  std::uint64_t shard_cross_messages = 0;   ///< sharded runs only
 };
 
 /// Runs one mode and splits its phase breakdown into sections/others.
-/// `shards` > 0 runs it on the sharded engine (bit-identical virtual-time
-/// results, host wall-clock spread over that many threads).
 template <typename RunFn>
 Fig6Row fig6_run(RunMode mode, int num_logical, const char* label,
-                 const std::set<std::string>& section_phases, RunFn&& fn,
-                 int shards = 0) {
+                 const std::set<std::string>& section_phases, RunFn&& fn) {
   RunConfig cfg;
   cfg.mode = mode;
   cfg.num_logical = num_logical;
-  cfg.shards = shards;
   const RunResult r = fn(cfg);
   Fig6Row row;
   row.label = label;
@@ -44,27 +38,7 @@ Fig6Row fig6_run(RunMode mode, int num_logical, const char* label,
     if (section_phases.count(phase)) row.sections += t;
     else row.others += t;
   }
-  row.shard_windows = r.shard_windows;
-  row.shard_cross_messages = r.shard_cross_messages;
   return row;
-}
-
-/// Sharded-engine metrics, summed over the panel's per-mode runs. host_
-/// prefix: host-side execution shape, excluded from the virtual-time drift
-/// gate (window/cross counts are deterministic, but they only exist when
-/// the run is sharded, so they can't be compared against a legacy baseline).
-inline void fig6_shard_metrics(BenchContext& ctx,
-                               const std::vector<Fig6Row>& rows, int shards) {
-  if (shards <= 0) return;
-  std::uint64_t windows = 0;
-  std::uint64_t cross = 0;
-  for (const Fig6Row& row : rows) {
-    windows += row.shard_windows;
-    cross += row.shard_cross_messages;
-  }
-  ctx.metric("host_shard_count", static_cast<double>(shards));
-  ctx.metric("host_shard_windows", static_cast<double>(windows));
-  ctx.metric("host_shard_cross_messages", static_cast<double>(cross));
 }
 
 /// Prints the panel and fills Fig6Row::efficiency in place so callers can

@@ -1,7 +1,6 @@
 #include "apps/runner.hpp"
 
 #include <algorithm>
-#include <mutex>
 #include <vector>
 
 #if defined(__GLIBC__)
@@ -10,7 +9,6 @@
 
 #include "net/network.hpp"
 #include "sim/simulator.hpp"
-#include "simmpi/sharded_world.hpp"
 #include "support/error.hpp"
 #include "support/log.hpp"
 
@@ -47,8 +45,7 @@ const char* paper_label(RunMode mode) {
 namespace {
 
 /// Per-rank output buffers filled by the rank mains. Each rank writes only
-/// its own slot; in sharded runs that happens on its shard's worker thread,
-/// and the main thread reads only after the engine joins.
+/// its own slot; run_app reads them after the simulation drains.
 struct RankOutputs {
   std::vector<double> finish;
   std::vector<intra::IntraStats> istats;
@@ -58,8 +55,8 @@ struct RankOutputs {
         istats(static_cast<std::size_t>(n)) {}
 };
 
-/// The per-rank main shared by the single-threaded and sharded drivers.
-/// Everything captured by reference outlives the run (locals of run_app).
+/// The per-rank main. Everything captured by reference outlives the run
+/// (locals of run_app).
 std::function<void(mpi::Proc&)> make_rank_main(const RunConfig& cfg,
                                                const rep::ReplicaLayout& layout,
                                                support::ComputeCache* cache,
@@ -90,7 +87,7 @@ std::function<void(mpi::Proc&)> make_rank_main(const RunConfig& cfg,
       // masked any further. Report it (the world schedules an abort that
       // kills the remaining ranks) and settle this rank without a finish
       // time — the run terminates as a *reported* job failure instead of a
-      // deadlock or a stuck-shard diagnosis.
+      // deadlock.
       proc.world().declare_job_failed(e.logical(), proc.world_rank(),
                                       proc.now());
       out.istats[wr] = runtime.stats();
@@ -102,27 +99,26 @@ std::function<void(mpi::Proc&)> make_rank_main(const RunConfig& cfg,
 }
 
 /// Validates the fault plan against the world size and plants its timed
-/// crashes as uncounted control events on each victim's owning simulator.
-/// Firing is a pure function of virtual time, so it is bit-identical across
-/// --jobs/--shards/--backend; a victim that already finished or crashed by
-/// its crash instant is left alone.
+/// crashes as uncounted control events on the run's simulator. Firing is a
+/// pure function of virtual time, so it is bit-identical across
+/// --jobs/--backend; a victim that already finished or crashed by its crash
+/// instant is left alone.
 void arm_faults(const RunConfig& cfg, mpi::World& world) {
   if (cfg.faults == nullptr) return;
   cfg.faults->validate(world.num_ranks());
   for (const fault::TimedCrash& tc : cfg.faults->timed_crashes()) {
-    sim::Simulator& s = world.sim_of(tc.world_rank);
-    s.schedule_internal_at(tc.at, [&world, faults = cfg.faults,
-                                   r = tc.world_rank] {
-      if (world.crash_pending(r)) return;
-      if (world.sim_of(r).finished(world.pid_of(r))) return;
-      world.crash(r);
-      faults->note_timed_fired();
-    });
+    world.simulator().schedule_internal_at(
+        tc.at, [&world, faults = cfg.faults, r = tc.world_rank] {
+          if (world.crash_pending(r)) return;
+          if (world.simulator().finished(world.pid_of(r))) return;
+          world.crash(r);
+          faults->note_timed_fired();
+        });
   }
 }
 
 /// Folds the per-rank outputs into the result (everything except the
-/// substrate/network counters, which each driver reads from its machine).
+/// substrate/network counters, which run_app reads from its machine).
 void collect_rank_results(const rep::ReplicaLayout& layout,
                           const mpi::World& world, const RankOutputs& out,
                           RunResult& res) {
@@ -161,57 +157,6 @@ void collect_rank_results(const rep::ReplicaLayout& layout,
   }
 }
 
-RunResult run_app_sharded(const RunConfig& cfg, const AppMain& app,
-                          const rep::ReplicaLayout& layout) {
-  bool fell_back = false;
-  mpi::ShardedMachine machine(
-      cfg.shards, cfg.model,
-      layout.make_topology_domains(cfg.cores_per_node, cfg.nodes_per_domain,
-                                   cfg.num_domains,
-                                   cfg.domain_aware_placement, &fell_back),
-      layout.num_physical());
-  if (fell_back) {
-    REPMPI_WARN("domain-aware replica placement needs more than "
-                << cfg.num_domains
-                << " domains; falling back to same-domain placement");
-  }
-  // Rank fibers execute on the engine's worker threads: install the run's
-  // kernel backend on each worker, and deposit the workers' thread-local
-  // kernel timing totals back to the calling thread when they exit.
-  std::mutex totals_mu;
-  kernels::KernelTotals totals;
-  machine.set_worker_hook([&cfg, &totals_mu, &totals](int) {
-    auto scope = std::make_shared<kernels::ScopedBackend>(cfg.backend);
-    const kernels::KernelTotals before = kernels::kernel_totals();
-    return [scope, before, &totals_mu, &totals] {
-      kernels::KernelTotals delta = kernels::kernel_totals();
-      delta -= before;
-      const std::lock_guard<std::mutex> lock(totals_mu);
-      totals += delta;
-    };
-  });
-  RankOutputs out(layout.num_physical());
-  machine.world().launch(
-      make_rank_main(cfg, layout, /*cache=*/nullptr, app, out));
-  arm_faults(cfg, machine.world());
-  machine.run();
-  kernels::add_kernel_totals(totals);
-
-  RunResult res;
-  res.placement_fallback = fell_back;
-  res.job_failed = machine.world().job_failed();
-  res.job_failed_time = machine.world().job_failed_time();
-  res.job_failed_logical = machine.world().job_failed_logical();
-  collect_rank_results(layout, machine.world(), out, res);
-  res.net_messages = machine.net_stats().messages;
-  res.net_bytes = machine.net_stats().bytes;
-  res.events = machine.counters().events;
-  res.shards = cfg.shards;
-  res.shard_windows = machine.stats().windows;
-  res.shard_cross_messages = machine.stats().internode_sends;
-  return res;
-}
-
 }  // namespace
 
 RunResult run_app(const RunConfig& cfg, const AppMain& app) {
@@ -226,11 +171,9 @@ RunResult run_app(const RunConfig& cfg, const AppMain& app) {
   (void)malloc_tuned;
 #endif
   const rep::ReplicaLayout layout{cfg.num_logical, cfg.effective_degree()};
-  REPMPI_CHECK_MSG(cfg.shards >= 0, "negative shard count " << cfg.shards);
-  if (cfg.shards > 0) return run_app_sharded(cfg, app, layout);
 
-  // Classic path: all rank fibers run on this thread, so one thread-local
-  // install covers the whole run.
+  // All rank fibers run on this thread, so one thread-local install covers
+  // the whole run.
   const kernels::ScopedBackend backend_scope(cfg.backend);
 
   sim::Simulator sim;
@@ -251,8 +194,7 @@ RunResult run_app(const RunConfig& cfg, const AppMain& app) {
   // execute bit-identical kernel regions, so compute each once and share the
   // output bytes. Never in kReplicatedVerify — that mode exists to duplicate
   // execution for SDC detection. The cache is owned by this run and touched
-  // only by this simulator's fibers (thread-confinement contract — which is
-  // also why sharded runs leave it off).
+  // only by this simulator's fibers (thread-confinement contract).
   std::unique_ptr<support::ComputeCache> cache;
   if (cfg.effective_degree() > 1 && cfg.mode != RunMode::kReplicatedVerify &&
       !support::ComputeCache::disabled_by_env()) {

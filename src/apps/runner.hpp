@@ -69,20 +69,12 @@ struct RunConfig {
   /// nodes_per_domain > 0): a single domain kill then never wipes every
   /// replica of a logical rank. Off = the paper's plain different-node rule.
   bool domain_aware_placement = true;
-  /// Number of simulator shards (worker threads) driving this one run.
-  /// 0 = classic single-threaded simulator; N >= 1 uses the sharded engine
-  /// (sim/shard.hpp). Simulated results — virtual time, phase times, message
-  /// and byte counts, per-rank event streams — are bit-identical at every
-  /// shard count; only host wall-clock changes. Replica-compute sharing is
-  /// host-side machinery confined to one thread and is disabled when
-  /// sharded (it never affects simulated results either way).
-  int shards = 0;
   /// Host kernel backend for this run's batch kernels (SpMV, stencil, PIC,
   /// vector ops). kAuto = the process default (best supported by CPUID).
   /// Simulated results are bit-identical under every backend — the SIMD
   /// paths preserve the scalar accumulation order per output element — so
-  /// this only changes host wall-clock. Installed thread-locally on every
-  /// thread that executes rank fibers, including sharded-engine workers.
+  /// this only changes host wall-clock. Installed thread-locally on the
+  /// thread that runs the simulation.
   kernels::Backend backend = kernels::Backend::kAuto;
 
   int effective_degree() const {
@@ -150,20 +142,8 @@ struct RunResult {
   /// Host-side replica-compute sharing counters for this run (zero when
   /// sharing was off: degree 1, kReplicatedVerify, or REPMPI_NO_SHARED_COMPUTE).
   support::ComputeCacheStats compute_cache;
-  /// DES events executed by this run (summed over shards when sharded).
-  /// Invariant across shard counts on homogeneous machines. With per-node
-  /// slowdown factors (stragglers) the count can differ between engines:
-  /// the simulated results are still bit-identical, but the substrate's
-  /// wakeup-elision optimization keys on which request a waiter is focused
-  /// on when a notification lands, and same-virtual-time dispatch order —
-  /// which heterogeneous timing perturbs — is an engine-internal degree of
-  /// freedom. Compare wallclock/messages/bytes across shard counts, not
-  /// this host-side execution statistic.
+  /// DES events executed by this run (fault bookkeeping events excluded).
   std::uint64_t events = 0;
-  /// Sharded-engine statistics; zero on the classic single-threaded path.
-  int shards = 0;
-  std::uint64_t shard_windows = 0;          ///< conservative windows run
-  std::uint64_t shard_cross_messages = 0;   ///< boundary-merged internode sends
 
   double phase(const std::string& name) const {
     const auto it = phase_max.find(name);

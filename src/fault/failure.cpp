@@ -66,32 +66,27 @@ void FaultPlan::maybe_crash(mpi::Proc& proc, CrashSite site, int detail) {
   const int rank = proc.world_rank();
 
   // Bump the occurrence counter for this (rank, site, detail-as-matched).
-  // The lock must NOT be held across World::crash below: killing the
-  // process unwinds this fiber, and unwind paths may reach this plan again.
   bool fire = false;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    for (const auto& rule : rules_) {
-      if (rule.world_rank != rank || rule.site != site) continue;
-      if (rule.detail != -1 && rule.detail != detail) continue;
+  for (const auto& rule : rules_) {
+    if (rule.world_rank != rank || rule.site != site) continue;
+    if (rule.detail != -1 && rule.detail != detail) continue;
 
-      Counter* ctr = nullptr;
-      for (auto& c : counters_) {
-        if (c.world_rank == rank && c.site == site && c.detail == rule.detail) {
-          ctr = &c;
-          break;
-        }
-      }
-      if (!ctr) {
-        counters_.push_back(Counter{rank, site, rule.detail, 0});
-        ctr = &counters_.back();
-      }
-      ++ctr->count;
-      if (ctr->count == rule.nth) {
-        ++fired_;
-        fire = true;
+    Counter* ctr = nullptr;
+    for (auto& c : counters_) {
+      if (c.world_rank == rank && c.site == site && c.detail == rule.detail) {
+        ctr = &c;
         break;
       }
+    }
+    if (!ctr) {
+      counters_.push_back(Counter{rank, site, rule.detail, 0});
+      ctr = &counters_.back();
+    }
+    ++ctr->count;
+    if (ctr->count == rule.nth) {
+      ++fired_;
+      fire = true;
+      break;
     }
   }
   if (fire) {
@@ -107,7 +102,6 @@ bool FaultPlan::should_corrupt(mpi::Proc& proc) {
   if (corruptions_.empty()) return false;
   const int rank = proc.world_rank();
   const sim::Time now = proc.now();
-  std::lock_guard<std::mutex> lock(mu_);
   int* count = nullptr;
   for (auto& [r, c] : exec_counts_) {
     if (r == rank) {
@@ -126,7 +120,7 @@ bool FaultPlan::should_corrupt(mpi::Proc& proc) {
     if (rule.at >= 0.0) {
       // Time-triggered: first execution at/after the planted instant. The
       // fire decision depends only on virtual time, so it is bit-identical
-      // across --jobs/--shards/--backend.
+      // across --jobs/--backend.
       if (!corruption_done_[i] && now >= rule.at) {
         corruption_done_[i] = 1;
         ++corruptions_fired_;

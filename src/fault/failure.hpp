@@ -11,7 +11,6 @@
 // the plan decides whether this physical process dies there.
 
 #include <functional>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -125,10 +124,7 @@ class FaultPlan {
   /// Called by the runner's timed-crash control event after it kills a
   /// victim, so observers polling fired() (the replica-compute-sharing
   /// divergence probe) see timed deaths exactly like site-rule deaths.
-  void note_timed_fired() {
-    std::lock_guard<std::mutex> lock(mu_);
-    ++fired_;
-  }
+  void note_timed_fired() { ++fired_; }
 
   /// Number of rules that have fired so far.
   int fired() const { return fired_; }
@@ -150,11 +146,6 @@ class FaultPlan {
   std::vector<std::pair<int, int>> exec_counts_;  // (world_rank, count)
   int fired_ = 0;
   int corruptions_fired_ = 0;
-  /// One plan is shared by every rank of a run; under the sharded engine
-  /// those ranks call in from different worker threads. Guards the mutable
-  /// occurrence state above (rules_/corruptions_ are fixed before launch;
-  /// the fired counts are read only after the run joins).
-  std::mutex mu_;
 };
 
 /// Convenience: no-op plan singleton for fault-free runs.

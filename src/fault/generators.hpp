@@ -5,7 +5,7 @@
 // and machine-model perturbations (net/machine_model.hpp) *before* a run
 // starts. Everything downstream of a generator is a plain data structure, so
 // a (seed, parameters) pair reproduces the same hostile scenario bit-for-bit
-// across --jobs / --shards / --backend.
+// across --jobs / --backend.
 //
 // Three failure processes, widening the space the paper could not run:
 //

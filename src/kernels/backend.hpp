@@ -26,9 +26,8 @@
 // Selection: the process default is CPUID-detected (best compiled backend
 // the host supports); repmpi_bench --backend= overrides it process-wide and
 // RunConfig::backend overrides it per run (apps/runner installs a
-// ScopedBackend on every thread that executes rank fibers, including
-// sharded-engine workers). The active backend is thread-local, matching the
-// substrate's thread-confinement contract.
+// ScopedBackend on the thread that runs the simulation). The active backend
+// is thread-local, matching the substrate's thread-confinement contract.
 
 #include <chrono>
 #include <cstddef>
@@ -134,8 +133,7 @@ void verify_backend_match(const char* kernel, const double* got,
 // sim::substrate_totals(): the bench driver snapshots before/after each
 // bench and reports the deltas as host_kernel_*_ns metrics (host_ prefix:
 // excluded from the virtual-time drift gate). Work done on other threads
-// (sharded-engine workers, sweep pool cells) is deposited back with
-// add_kernel_totals().
+// (sweep pool cells) is deposited back with add_kernel_totals().
 
 enum class KernelFamily : int {
   kSpmv = 0,

@@ -73,8 +73,7 @@ struct MachineModel {
 
   /// Additional one-way latency for messages crossing a failure-domain
   /// (switch) boundary, on top of net_latency. Must be >= 0: net_latency
-  /// stays the floor of every internode transfer, so min_remote_latency()
-  /// and the sharded engine's lookahead are unaffected.
+  /// stays the floor of every internode transfer.
   double inter_switch_extra_latency = 0.0;
 
   /// Per-direction bandwidth of inter-switch links (B/s); 0 means "same as
@@ -93,14 +92,6 @@ struct MachineModel {
                ? node_slowdown[static_cast<std::size_t>(node)]
                : 1.0;
   }
-
-  /// Minimum virtual time any inter-node influence needs to travel — the
-  /// conservative lookahead of the sharded simulator (sim/shard.hpp). Every
-  /// internode transfer is charged at least net_latency beyond its send
-  /// instant (reserve_transfer only adds NIC serialization on top), so when
-  /// shards own whole nodes, a time window of this length is causally
-  /// closed. Intranode traffic never crosses shards and does not bound it.
-  double min_remote_latency() const { return net_latency; }
 
   /// Time to copy bytes through memory (both a read and a write stream).
   double memcpy_time(std::size_t bytes) const {

@@ -4,8 +4,8 @@
 
 namespace repmpi::net {
 
-sim::Time Network::reserve_transfer_at(int src, int dst, std::size_t bytes,
-                                       sim::Time now) {
+sim::Time Network::reserve_transfer(int src, int dst, std::size_t bytes) {
+  const sim::Time now = sim_.now();
   ++stats_.messages;
   stats_.bytes += bytes;
 

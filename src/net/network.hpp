@@ -37,15 +37,11 @@ struct NetworkStats {
 
 class Network {
  public:
-  /// `force_sparse_fifo` skips the dense P*P FIFO table regardless of P:
-  /// sharded runs instantiate one Network per shard plus a cross-shard one,
-  /// and N+1 dense tables would multiply a footprint sized for exactly one.
-  Network(sim::Simulator& sim, MachineModel model, Topology topo,
-          bool force_sparse_fifo = false)
+  Network(sim::Simulator& sim, MachineModel model, Topology topo)
       : sim_(sim), model_(std::move(model)), topo_(std::move(topo)) {
     // The hostile-machine knobs may only ever ADD virtual time: net_latency
-    // must remain the floor of every internode transfer or the sharded
-    // engine's lookahead (min_remote_latency) would be unsound.
+    // stays the floor of every internode transfer, and a straggler never
+    // computes faster than the roofline model.
     REPMPI_CHECK_MSG(model_.inter_switch_extra_latency >= 0.0,
                      "inter_switch_extra_latency must be >= 0");
     for (double s : model_.node_slowdown)
@@ -55,7 +51,7 @@ class Network {
     nic_tx_busy_.assign(nodes, 0.0);
     nic_rx_busy_.assign(nodes, 0.0);
     const auto p = static_cast<std::size_t>(topo_.num_processes());
-    if (p <= kDenseFifoLimit && !force_sparse_fifo) {
+    if (p <= kDenseFifoLimit) {
       fifo_dense_.assign(p * p, 0.0);
     } else {
       // Sparse fallback: most ranks talk to a bounded neighborhood (halo
@@ -83,16 +79,7 @@ class Network {
   /// Reserves wire time for a message and returns its arrival (virtual)
   /// time at dst. Does not schedule any event — the caller (the MPI layer)
   /// schedules the delivery callback at the returned time.
-  sim::Time reserve_transfer(int src, int dst, std::size_t bytes) {
-    return reserve_transfer_at(src, dst, bytes, sim_.now());
-  }
-
-  /// reserve_transfer with an explicit send instant: the sharded machine
-  /// replays each window's internode sends against the cross-shard lane
-  /// state at the window boundary, in a layout-independent sorted order,
-  /// after the sending shard's clock has already moved on.
-  sim::Time reserve_transfer_at(int src, int dst, std::size_t bytes,
-                                sim::Time now);
+  sim::Time reserve_transfer(int src, int dst, std::size_t bytes);
 
  private:
   /// Above this process count the dense (src,dst) FIFO table would exceed

@@ -86,32 +86,6 @@ class Topology {
     return out;
   }
 
-  /// Shard map for the sharded simulator: partitions the node id range into
-  /// `shards` *contiguous* node intervals balanced by process count and
-  /// returns the shard index per process. Contiguity means a shard owns
-  /// whole nodes, so intranode traffic (which carries no lookahead-sized
-  /// latency floor) never crosses a shard boundary. Deterministic in the
-  /// topology alone; shards beyond the node count simply come out empty.
-  std::vector<int> contiguous_node_shards(int shards) const {
-    REPMPI_CHECK(shards >= 1);
-    const auto nodes = static_cast<std::size_t>(num_nodes());
-    const auto total = static_cast<long long>(num_processes());
-    std::vector<long long> on_node(nodes, 0);
-    for (int node : node_of_) ++on_node[static_cast<std::size_t>(node)];
-    std::vector<int> shard_of_node(nodes, 0);
-    long long before = 0;  // processes on nodes preceding this one
-    for (std::size_t n = 0; n < nodes; ++n) {
-      const auto s = static_cast<int>(before * shards / total);
-      shard_of_node[n] = s < shards ? s : shards - 1;
-      before += on_node[n];
-    }
-    std::vector<int> out(node_of_.size());
-    for (std::size_t p = 0; p < node_of_.size(); ++p) {
-      out[p] = shard_of_node[static_cast<std::size_t>(node_of_[p])];
-    }
-    return out;
-  }
-
   /// Placement for replicated runs: physical process (logical L, replica k)
   /// gets index L + k * num_logical, and replica planes are laid out on
   /// disjoint node sets so that the two replicas of any logical process are

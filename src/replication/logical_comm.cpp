@@ -48,7 +48,7 @@ LogicalComm::LogicalComm(mpi::Proc& proc, ReplicaLayout layout)
     mpi::World* world = &proc_.world();
     const ReplicaLayout lay = layout_;
     const int my_world = proc_.world_rank();
-    agent_pid_ = proc_.world().sim_of(my_world).spawn(
+    agent_pid_ = proc_.world().simulator().spawn(
         "agent" + std::to_string(my_world),
         [shared, world, lay, my_world](sim::Context& ctx) {
           agent_loop(ctx, *world, lay, my_world, *shared);

@@ -67,9 +67,9 @@ struct EventNode {
   void (*run)(EventNode&) = nullptr;   ///< invokes and destroys the callable
   void (*drop)(EventNode&) = nullptr;  ///< destroys it without invoking
   EventNode* next = nullptr;           ///< free-list / ready-lane link
-  /// Engine-internal bookkeeping event (sharded-run control op): dispatched
-  /// normally but excluded from the events_executed counter, so per-shard
-  /// control traffic cannot make event counts depend on the shard count.
+  /// Engine-internal bookkeeping event (timed crashes and the job-failure
+  /// abort): dispatched normally but excluded from the events_executed
+  /// counter.
   bool no_count = false;
   alignas(std::max_align_t) std::byte storage[kInlineBytes];
 };

@@ -4,7 +4,6 @@
 #include <unistd.h>
 
 #include <exception>
-#include <limits>
 #include <sstream>
 
 // ThreadSanitizer fiber support: TSan models each ucontext fiber as its own
@@ -85,9 +84,7 @@ void Context::delay(Time dt) {
   // scheduler round trip is provably a no-op: advance the clock in place.
   // This turns runs of short charges (per-message overheads, back-to-back
   // compute slices) into plain arithmetic instead of context switches.
-  // Sharded runs disable it (set_inplace_delay): the trigger condition is
-  // a property of the shard layout, not of the program.
-  if (sim_.inplace_delay_ && sim_.nothing_before(target)) {
+  if (sim_.nothing_before(target)) {
     sim_.now_ = target;
     return;
   }
@@ -435,37 +432,6 @@ void Simulator::run() {
   if (!stuck.empty()) {
     throw support::DeadlockError("simulation deadlock: " + stuck);
   }
-}
-
-void Simulator::run_until(Time end) {
-  REPMPI_CHECK_MSG(!in_run_, "Simulator::run_until is not reentrant");
-  in_run_ = true;
-  for (;;) {
-    // Peek the (t, seq) minimum across both lanes without popping, so an
-    // event at or beyond the horizon stays queued for a later window.
-    EventNode* r = ready_head_;
-    EventNode* m = timed_.peek();
-    const EventNode* min = r;
-    if (min == nullptr ||
-        (m != nullptr &&
-         (m->t < min->t || (m->t == min->t && m->seq < min->seq)))) {
-      min = m;
-    }
-    if (min == nullptr || min->t >= end) break;
-    dispatch(pop_next());
-  }
-  in_run_ = false;
-}
-
-Time Simulator::next_event_time() {
-  EventNode* r = ready_head_;
-  EventNode* m = timed_.peek();
-  if (r == nullptr && m == nullptr) {
-    return std::numeric_limits<Time>::infinity();
-  }
-  if (r == nullptr) return m->t;
-  if (m == nullptr) return r->t;
-  return std::min(r->t, m->t);
 }
 
 std::string Simulator::stuck_processes() const {

@@ -39,13 +39,11 @@
 // Thread-confinement contract: one Simulator is single-threaded by design,
 // but the substrate keeps NO process-wide mutable state, so independent
 // Simulators may run concurrently on separate OS threads (scenario-level
-// parallelism — see support::TaskPool). A Simulator may be *driven* by one
-// thread at a time with explicit synchronization between handoffs: the
-// sharded engine (sim/shard.hpp) runs each shard's simulator on a dedicated
-// worker thread via run_until() and touches it from the window-boundary
-// hook only while every worker is quiescent at a barrier. The throughput
-// counters it feeds are thread-local, and everything else it touches is
-// instance-local.
+// parallelism — see support::TaskPool). One simulation runs on exactly one
+// Simulator, driven by one thread: the thread that calls run() owns the
+// Simulator and every object its processes touch (the MPI world, the
+// network, the per-run fault plan). The throughput counters it feeds are
+// thread-local, and everything else it touches is instance-local.
 
 #include <cstddef>
 #include <cstdint>
@@ -208,10 +206,10 @@ class Simulator {
     schedule_at(now_ + dt, std::forward<F>(fn));
   }
 
-  /// schedule_at for engine-internal control events (sharded-run death
-  /// announcements, companion retirement): dispatched in strict (t, seq)
-  /// order like any event but excluded from events_executed, so per-shard
-  /// control traffic cannot make event counts depend on the shard count.
+  /// schedule_at for engine-internal control events (timed crashes, the
+  /// job-failure abort): dispatched in strict (t, seq) order like any event
+  /// but excluded from events_executed, so fault bookkeeping does not add
+  /// to the program's event count.
   template <typename F>
   void schedule_internal_at(Time t, F&& fn) {
     REPMPI_CHECK_MSG(t >= now_, "event scheduled in the past: t="
@@ -264,32 +262,6 @@ class Simulator {
   /// Runs until the event queue drains. Throws DeadlockError if live
   /// processes remain parked with no pending events.
   void run();
-
-  /// Runs every pending event with t < end in strict (t, seq) order and
-  /// returns (the sharded engine's per-window drive). Events at or beyond
-  /// `end` stay queued; no deadlock diagnosis (the engine aggregates
-  /// stuck_processes() across shards at termination) and no totals flush
-  /// (counts reach the thread-local totals when the simulator is destroyed
-  /// on its owning thread).
-  void run_until(Time end);
-
-  /// Earliest pending event time across both lanes, or +infinity when the
-  /// queue is empty. Used by the sharded engine to compute the next global
-  /// time window.
-  Time next_event_time();
-
-  /// Disables delay()'s advance-in-place fast path so every delay schedules
-  /// a timed resume event. The fast path's trigger condition ("no pending
-  /// event before the deadline") inspects only this instance's queue, which
-  /// under sharding depends on which ranks share the shard — the elided
-  /// resume events would make event counts and tie sequencing vary with the
-  /// shard layout. Strict mode makes the event stream a function of the
-  /// program alone. Single-simulator runs keep the fast path (default on).
-  void set_inplace_delay(bool enabled) { inplace_delay_ = enabled; }
-
-  /// Human-readable list of live parked processes, or "" when none — the
-  /// deadlock diagnostic shared by run() and the sharded engine.
-  std::string stuck_processes() const;
 
   /// Resumes every still-live process with the kill flag so its stack
   /// unwinds, then releases the fiber stacks. Idempotent. Owners whose
@@ -448,9 +420,12 @@ class Simulator {
     return m == nullptr || m->t > t;
   }
 
+  /// Human-readable list of live parked processes, or "" when none — the
+  /// deadlock diagnostic of run().
+  std::string stuck_processes() const;
+
   /// Executes one popped event: advances the clock, counts it, and either
-  /// resumes the target process or runs the stored callback. Shared by
-  /// run() and run_until().
+  /// resumes the target process or runs the stored callback.
   void dispatch(EventNode* ev);
 
   /// Pushes a resume event for `pid` at time t (callback-free fast path).
@@ -509,7 +484,6 @@ class Simulator {
 
   std::function<void(Pid, Time)> switch_hook_;
   bool in_run_ = false;
-  bool inplace_delay_ = true;  ///< delay() fast path (off under sharding)
 };
 
 }  // namespace repmpi::sim

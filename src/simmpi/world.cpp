@@ -8,61 +8,32 @@
 namespace repmpi::mpi {
 
 World::World(sim::Simulator& sim, net::Network& network, int num_ranks)
-    : sim_(&sim),
-      net_(&network),
-      model_(&network.model()),
-      num_ranks_(num_ranks) {
+    : sim_(sim), net_(network), num_ranks_(num_ranks) {
   REPMPI_CHECK(num_ranks > 0);
   REPMPI_CHECK_MSG(network.topology().num_processes() >= num_ranks,
                    "topology has fewer slots than ranks");
   ranks_.resize(static_cast<std::size_t>(num_ranks));
   phases_.resize(static_cast<std::size_t>(num_ranks));
-  announced_.assign(static_cast<std::size_t>(num_ranks), 0);
-  shard_ranks_.resize(1);
-  shard_ranks_[0].resize(static_cast<std::size_t>(num_ranks));
-  for (int r = 0; r < num_ranks; ++r) shard_ranks_[0][static_cast<std::size_t>(r)] = r;
   build_slowdowns(network.topology());
 }
 
-World::World(ShardRouter& router, int num_ranks)
-    : router_(&router),
-      model_(&router.shard_net(0).model()),
-      num_ranks_(num_ranks) {
-  REPMPI_CHECK(num_ranks > 0);
-  REPMPI_CHECK_MSG(router.shard_net(0).topology().num_processes() >= num_ranks,
-                   "topology has fewer slots than ranks");
-  ranks_.resize(static_cast<std::size_t>(num_ranks));
-  phases_.resize(static_cast<std::size_t>(num_ranks));
-  const auto shards = static_cast<std::size_t>(router.num_shards());
-  announced_.assign(shards * static_cast<std::size_t>(num_ranks), 0);
-  shard_ranks_.resize(shards);
-  for (int r = 0; r < num_ranks; ++r) {
-    shard_ranks_[static_cast<std::size_t>(router.shard_of(r))].push_back(r);
-  }
-  build_slowdowns(router.shard_net(0).topology());
-}
-
 void World::build_slowdowns(const net::Topology& topo) {
-  if (model_->node_slowdown.empty()) return;
+  if (model().node_slowdown.empty()) return;
   slowdown_of_rank_.resize(static_cast<std::size_t>(num_ranks_), 1.0);
   for (int r = 0; r < num_ranks_; ++r) {
     slowdown_of_rank_[static_cast<std::size_t>(r)] =
-        model_->slowdown_of_node(topo.node_of(r));
+        model().slowdown_of_node(topo.node_of(r));
   }
 }
 
-World::~World() {
-  // Sharded runs: the engine's workers already terminated their own shards'
-  // fibers on the threads that ran them; there is nothing left to unwind.
-  if (sim_ != nullptr) sim_->terminate_processes();
-}
+World::~World() { sim_.terminate_processes(); }
 
 void World::launch(std::function<void(Proc&)> main_fn) {
   REPMPI_CHECK_MSG(!launched_, "World::launch called twice");
   launched_ = true;
   for (int r = 0; r < num_ranks_; ++r) {
     auto fn = main_fn;
-    ranks_[static_cast<std::size_t>(r)].pid = sim_of(r).spawn(
+    ranks_[static_cast<std::size_t>(r)].pid = sim_.spawn(
         "rank" + std::to_string(r), [this, r, fn](sim::Context& ctx) {
           Proc proc(*this, ctx, r);
           fn(proc);
@@ -77,29 +48,12 @@ void World::note_main_done() {
 }
 
 void World::maybe_retire_companions() {
-  // The seq_cst increments make the thread that settles the last main see
-  // the full sum; a double post is absorbed by the router/engine.
-  if (mains_done_.load() + mains_crashed_.load() < num_ranks_) return;
-  if (router_ != nullptr) {
-    // Cross-shard kills must not happen from a worker mid-window; the
-    // machine schedules retire_on_shard control events at the boundary.
-    router_->post_retire();
-    return;
-  }
+  if (mains_done_ + mains_crashed_ < num_ranks_) return;
   // Every main has finished or crashed: nobody can request replays anymore,
   // so the progress agents (which otherwise park forever on their control
   // receive) are retired.
   for (auto& rs : ranks_) {
-    for (sim::Pid companion : rs.companions) sim_->kill(companion);
-  }
-}
-
-void World::retire_on_shard(int shard) {
-  sim::Simulator& s = router_->shard_sim(shard);
-  for (int r : shard_ranks_[static_cast<std::size_t>(shard)]) {
-    for (sim::Pid companion : ranks_[static_cast<std::size_t>(r)].companions) {
-      s.kill(companion);
-    }
+    for (sim::Pid companion : rs.companions) sim_.kill(companion);
   }
 }
 
@@ -107,63 +61,38 @@ void World::crash(int world_rank) {
   auto& rs = ranks_[static_cast<std::size_t>(world_rank)];
   if (rs.dead) return;
   rs.dead = true;
-  sim::Simulator& s = sim_of(world_rank);
-  s.kill(rs.pid);
-  for (sim::Pid companion : rs.companions) s.kill(companion);
+  sim_.kill(rs.pid);
+  for (sim::Pid companion : rs.companions) sim_.kill(companion);
   ++mains_crashed_;
   maybe_retire_companions();
-  if (router_ != nullptr) {
-    // The announcement lands at least a window beyond the crash (detection
-    // delay >= lookahead), so deferring it to the boundary cannot move it.
-    REPMPI_CHECK_MSG(detection_delay_ >= router_->lookahead(),
-                     "sharded run needs detection delay >= lookahead ("
-                         << detection_delay_ << " < " << router_->lookahead()
-                         << ")");
-    router_->post_announce(world_rank, s.now() + detection_delay_);
-    return;
-  }
-  sim_->schedule_after(detection_delay_,
+  sim_.schedule_after(detection_delay_,
                        [this, world_rank] { announce_death(world_rank); });
 }
 
 void World::declare_job_failed(int logical, int world_rank, sim::Time t) {
-  {
-    std::lock_guard<std::mutex> lock(job_mu_);
-    // Earliest observation wins, ties broken by world_rank: the reported
-    // (time, logical) is the minimum over all declarations, so it cannot
-    // depend on which shard worker got here first.
-    if (!job_failed_ || t < job_failed_time_ ||
-        (t == job_failed_time_ && world_rank < job_failed_rank_)) {
-      job_failed_ = true;
-      job_failed_time_ = t;
-      job_failed_logical_ = logical;
-      job_failed_rank_ = world_rank;
-    }
+  // Earliest observation wins, ties broken by world_rank: the reported
+  // (time, logical) is the minimum over all declarations, whatever order
+  // same-instant declarations are dispatched in.
+  if (!job_failed_ || t < job_failed_time_ ||
+      (t == job_failed_time_ && world_rank < job_failed_rank_)) {
+    job_failed_ = true;
+    job_failed_time_ = t;
+    job_failed_logical_ = logical;
+    job_failed_rank_ = world_rank;
   }
   // Every declaration schedules its own abort (kills are idempotent), one
-  // detection delay after the observation — by then every shard has passed
-  // the observation window, so the control event lands in the future on all
-  // of them.
-  const sim::Time when = t + detection_delay_;
-  if (router_ != nullptr) {
-    REPMPI_CHECK_MSG(detection_delay_ >= router_->lookahead(),
-                     "sharded run needs detection delay >= lookahead");
-    router_->post_abort(when);
-    return;
-  }
-  sim_->schedule_internal_at(when, [this] { abort_on_shard(0); });
+  // detection delay after the observation.
+  sim_.schedule_internal_at(t + detection_delay_, [this] { abort_job(); });
 }
 
-void World::abort_on_shard(int shard) {
-  sim::Simulator& s = router_ != nullptr ? router_->shard_sim(shard) : *sim_;
+void World::abort_job() {
   int newly_dead = 0;
-  for (int r : shard_ranks_[static_cast<std::size_t>(shard)]) {
-    auto& rs = ranks_[static_cast<std::size_t>(r)];
+  for (auto& rs : ranks_) {
     if (rs.dead) continue;
     rs.dead = true;
-    if (!s.finished(rs.pid)) ++newly_dead;
-    s.kill(rs.pid);
-    for (sim::Pid companion : rs.companions) s.kill(companion);
+    if (!sim_.finished(rs.pid)) ++newly_dead;
+    sim_.kill(rs.pid);
+    for (sim::Pid companion : rs.companions) sim_.kill(companion);
   }
   // Killed mains never reach note_main_done; account for them here so
   // companion retirement still triggers once everything has settled.
@@ -173,19 +102,15 @@ void World::abort_on_shard(int shard) {
   }
 }
 
-void World::announce_death(int world_rank) { announce_on_shard(world_rank, 0); }
-
-void World::announce_on_shard(int world_rank, int shard) {
-  char& flag = announced_[announced_index(shard, world_rank)];
-  if (flag != 0) return;
-  flag = 1;
-  // Fail every posted receive on this shard's ranks that explicitly awaits
-  // the dead rank and cannot be satisfied from already-delivered messages.
-  // Victims are pulled from the index buckets and the wildcard list, then
-  // failed in post order (seq order) so completion order matches the
-  // pre-index engine exactly.
-  for (int dst_rank : shard_ranks_[static_cast<std::size_t>(shard)]) {
-    auto& dst = ranks_[static_cast<std::size_t>(dst_rank)];
+void World::announce_death(int world_rank) {
+  bool& announced = ranks_[static_cast<std::size_t>(world_rank)].announced;
+  if (announced) return;
+  announced = true;
+  // Fail every posted receive that explicitly awaits the dead rank and
+  // cannot be satisfied from already-delivered messages. Victims are pulled
+  // from the index buckets and the wildcard list, then failed in post order
+  // (seq order) so completion order matches the pre-index engine exactly.
+  for (auto& dst : ranks_) {
     std::vector<PostedRecv> victims;
     auto& exact = dst.posted_exact;
     for (auto it = exact.map.begin(); it != exact.map.end();) {
@@ -226,68 +151,16 @@ void World::send_bytes(int src_world, int dst_world, std::uint64_t channel,
 void World::send_payload(int src_world, int dst_world, std::uint64_t channel,
                          int src_comm_rank, int tag, support::Payload data) {
   REPMPI_CHECK(dst_world >= 0 && dst_world < num_ranks_);
-  if (router_ != nullptr) {
-    const int shard = router_->shard_of(src_world);
-    net::Network& snet = router_->shard_net(shard);
-    if (snet.topology().same_node(src_world, dst_world)) {
-      // Same node means same shard (shards own whole nodes): the intranode
-      // transport has no shared NIC lane state, so the reservation touches
-      // only this shard's pair clocks and can happen inline like legacy.
-      sim::Simulator& ssim = router_->shard_sim(shard);
-      const sim::Time arrival =
-          snet.reserve_transfer(src_world, dst_world, data.size());
-      Envelope env;
-      env.channel = channel;
-      env.src = src_comm_rank;
-      env.tag = tag;
-      env.data = std::move(data);
-      ssim.schedule_at(arrival,
-                       [this, dst_world, env = std::move(env)]() mutable {
-                         deliver(dst_world, std::move(env));
-                       });
-      return;
-    }
-    // Internode: NIC lanes are shared across shards, so the reservation is
-    // deferred to the window boundary, where all of a window's internode
-    // sends are applied in (t, src, src_seq) order against the single
-    // cross-shard network. Senders never observe the arrival time (eager
-    // fire-and-forget), so deferral is invisible to virtual time.
-    auto& rs = ranks_[static_cast<std::size_t>(src_world)];
-    InternodeSend op;
-    op.t = router_->shard_sim(shard).now();
-    op.src_world = src_world;
-    op.dst_world = dst_world;
-    op.channel = channel;
-    op.src_comm_rank = src_comm_rank;
-    op.tag = tag;
-    op.src_seq = rs.next_xsend_seq++;
-    op.data = std::move(data);
-    router_->post_internode(std::move(op));
-    return;
-  }
   const sim::Time arrival =
-      net_->reserve_transfer(src_world, dst_world, data.size());
+      net_.reserve_transfer(src_world, dst_world, data.size());
   Envelope env;
   env.channel = channel;
   env.src = src_comm_rank;
   env.tag = tag;
   env.data = std::move(data);
-  sim_->schedule_at(arrival, [this, dst_world, env = std::move(env)]() mutable {
+  sim_.schedule_at(arrival, [this, dst_world, env = std::move(env)]() mutable {
     deliver(dst_world, std::move(env));
   });
-}
-
-void World::deliver_internode_at(InternodeSend op, sim::Time arrival) {
-  Envelope env;
-  env.channel = op.channel;
-  env.src = op.src_comm_rank;
-  env.tag = op.tag;
-  env.data = std::move(op.data);
-  const int dst = op.dst_world;
-  sim_of(dst).schedule_at(arrival,
-                          [this, dst, env = std::move(env)]() mutable {
-                            deliver(dst, std::move(env));
-                          });
 }
 
 void World::deliver(int dst_world, Envelope env) {
@@ -344,15 +217,14 @@ void World::complete_recv(RequestState& req, Envelope env) {
   // focused on this very request resumes through the scheduler's ready lane
   // (no timed-queue traffic), and a waiter focused on a *different* request
   // is left asleep — it collects this completion from req.done when its own
-  // turn comes (waitall fan-in). Completions always execute on the thread
-  // of the destination rank's shard, so the local simulator owns the waiter.
-  if (req.owner != sim::kNoPid) local_sim().unpark_hint(req.owner, &req);
+  // turn comes (waitall fan-in).
+  if (req.owner != sim::kNoPid) sim_.unpark_hint(req.owner, &req);
 }
 
 void World::fail_recv(RequestState& req) {
   req.done = true;
   req.status.failed = true;
-  if (req.owner != sim::kNoPid) local_sim().unpark_hint(req.owner, &req);
+  if (req.owner != sim::kNoPid) sim_.unpark_hint(req.owner, &req);
 }
 
 void World::post_recv(int dst_world, int match_world_src,
@@ -395,8 +267,7 @@ void World::post_recv(int dst_world, int match_world_src,
     }
   }
 
-  // Fail fast when the awaited peer is already known dead (on the calling
-  // shard's announced view).
+  // Fail fast when the awaited peer is already known dead.
   if (match_world_src != kAnySource && is_dead(match_world_src)) {
     fail_recv(*req);
     return;

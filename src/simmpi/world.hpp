@@ -24,20 +24,17 @@
 // messages remain consumable — the paper's "some replicas got the update"
 // case).
 
-#include <atomic>
 #include <cstdint>
 #include <deque>
 #include <functional>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <string_view>
 #include <unordered_map>
 #include <vector>
 
 #include "net/network.hpp"
-#include "sim/shard.hpp"
 #include "sim/simulator.hpp"
 #include "simmpi/request.hpp"
 #include "simmpi/types.hpp"
@@ -57,50 +54,6 @@ struct Envelope {
   support::Payload data;
 };
 
-/// An internode send deferred to the window boundary of a sharded run. The
-/// key (t, src_world, src_seq) totally orders deferred sends independently
-/// of the shard layout: t and the per-source counter are functions of the
-/// sending rank's (deterministic) execution alone, and src_world breaks
-/// cross-rank ties the same way everywhere. Applying the sends in this
-/// order against the single cross-shard Network reproduces one global NIC
-/// reservation sequence at any shard count.
-struct InternodeSend {
-  sim::Time t = 0.0;  ///< virtual send instant
-  int src_world = 0;
-  int dst_world = 0;
-  std::uint64_t channel = 0;
-  int src_comm_rank = 0;
-  int tag = 0;
-  std::uint64_t src_seq = 0;  ///< per-source internode send counter
-  support::Payload data;
-};
-
-/// Routing seam between the World and the sharded engine's machinery
-/// (implemented by ShardedMachine in simmpi/sharded_world.hpp). The post_*
-/// members are called from shard worker threads during a window and must
-/// only touch that shard's slice; everything they queue is applied serially
-/// at the next window boundary.
-class ShardRouter {
- public:
-  virtual ~ShardRouter() = default;
-
-  virtual int num_shards() const = 0;
-  virtual int shard_of(int world_rank) const = 0;
-  virtual sim::Simulator& shard_sim(int shard) = 0;
-  virtual net::Network& shard_net(int shard) = 0;
-  virtual sim::Time lookahead() const = 0;
-
-  /// Queues an internode send for the boundary merge (source shard thread).
-  virtual void post_internode(InternodeSend op) = 0;
-  /// Requests a death announcement on every shard at absolute time `when`.
-  virtual void post_announce(int world_rank, sim::Time when) = 0;
-  /// Requests companion retirement at the end of the current window.
-  virtual void post_retire() = 0;
-  /// Requests a job abort (all surviving ranks killed) on every shard at
-  /// absolute time `when` — the graceful both-replicas-lost shutdown.
-  virtual void post_abort(sim::Time when) = 0;
-};
-
 /// Per-process metrics: virtual time attributed to named phases by
 /// ScopedPhase, collected after the run for bench reporting. Transparent
 /// comparison lets a phase be looked up by string_view without a copy.
@@ -110,39 +63,17 @@ class World {
  public:
   World(sim::Simulator& sim, net::Network& network, int num_ranks);
 
-  /// Sharded world: ranks are spread over the router's shards, each rank's
-  /// process living on its shard's simulator. Cross-shard interactions are
-  /// deferred through the router; everything else behaves as the legacy
-  /// single-simulator constructor.
-  World(ShardRouter& router, int num_ranks);
-
-  /// Joins all simulated process threads (they may hold references to this
-  /// world on their stacks) before the world's state is released. In a
-  /// sharded run the engine's workers have already unwound their own
-  /// shards' fibers (thread affinity), so this is a no-op there.
+  /// Unwinds all simulated processes (they may hold references to this
+  /// world on their stacks) before the world's state is released.
   ~World();
 
   int num_ranks() const { return num_ranks_; }
 
-  /// Legacy single-simulator accessors; invalid on a sharded world (use
-  /// sim_of / net_of with a rank).
-  sim::Simulator& simulator() {
-    REPMPI_CHECK_MSG(sim_ != nullptr, "sharded world has no single simulator");
-    return *sim_;
-  }
-  net::Network& network() {
-    REPMPI_CHECK_MSG(net_ != nullptr, "sharded world has no single network");
-    return *net_;
-  }
+  /// The simulator running every rank's process (and its companions).
+  sim::Simulator& simulator() { return sim_; }
+  net::Network& network() { return net_; }
 
-  /// The simulator owning `world_rank`'s process (its shard's, or the
-  /// single one). Spawning a companion for a rank must go through this.
-  sim::Simulator& sim_of(int world_rank) {
-    return router_ != nullptr ? router_->shard_sim(router_->shard_of(world_rank))
-                              : *sim_;
-  }
-
-  const net::MachineModel& model() const { return *model_; }
+  const net::MachineModel& model() const { return net_.model(); }
 
   /// Spawns all ranks; each runs `main_fn` with its own Proc handle. Must be
   /// called exactly once, before Simulator::run().
@@ -159,18 +90,14 @@ class World {
   /// Graceful both-replicas-lost degradation: a rank that observes an
   /// unmaskable failure (every replica of logical rank `logical` dead)
   /// reports it here instead of letting the exception escape. The world
-  /// records the earliest observation — merged deterministically by
-  /// (virtual time, world_rank), independent of host thread order — and
-  /// schedules a job abort one detection delay later that kills every
-  /// surviving rank, so the run terminates as a *reported* job failure
-  /// rather than a deadlock or a stuck-shard diagnosis.
+  /// records the earliest observation — the minimum over (virtual time,
+  /// world_rank), not whichever same-instant declaration the scheduler
+  /// dispatched first — and schedules a job abort one detection delay
+  /// later that kills every surviving rank, so the run terminates as a
+  /// *reported* job failure rather than a deadlock.
   void declare_job_failed(int logical, int world_rank, sim::Time t);
 
-  /// The abort control event (window-boundary scheduled in sharded runs):
-  /// kills the surviving ranks owned by `shard`. Idempotent.
-  void abort_on_shard(int shard);
-
-  /// Valid after the run joins.
+  /// Valid after the run completes.
   bool job_failed() const { return job_failed_; }
   sim::Time job_failed_time() const { return job_failed_time_; }
   int job_failed_logical() const { return job_failed_logical_; }
@@ -183,11 +110,9 @@ class World {
                : slowdown_of_rank_[static_cast<std::size_t>(world_rank)];
   }
 
+  /// True once the failure detector has announced `world_rank`'s death.
   bool is_dead(int world_rank) const {
-    // Each shard holds its own announced view (the failure detector fires
-    // per shard at the same virtual time); readers are always rank fibers,
-    // which run on their shard's worker thread.
-    return announced_[announced_index(shard_view(), world_rank)] != 0;
+    return ranks_[static_cast<std::size_t>(world_rank)].announced;
   }
 
   /// True as soon as crash() ran, before the failure detector announces it.
@@ -236,23 +161,6 @@ class World {
   /// from comm-rank `src` (kAnySource: any) — used to garbage-collect stale
   /// replica updates after a crash has been handled.
   std::size_t purge_unexpected(int dst_world, std::uint64_t channel, int src);
-
-  // --- Internal API used by the sharded machine (boundary-hook context) ---
-
-  /// Schedules the deferred internode delivery on the destination rank's
-  /// shard; `arrival` was reserved against the cross-shard network in the
-  /// layout-independent merge order.
-  void deliver_internode_at(InternodeSend op, sim::Time arrival);
-
-  /// Applies `world_rank`'s death announcement to `shard`'s view: marks the
-  /// per-shard announced flag and fails the shard's matching posted
-  /// receives. The legacy announce path is this with one shard owning all
-  /// ranks.
-  void announce_on_shard(int world_rank, int shard);
-
-  /// Kills the companion processes of the ranks owned by `shard` (runs as a
-  /// window-boundary control event once every main settled).
-  void retire_on_shard(int shard);
 
  private:
   struct MatchKey {
@@ -323,7 +231,8 @@ class World {
 
   struct RankState {
     sim::Pid pid = sim::kNoPid;
-    bool dead = false;  // crash happened (announced view lives in announced_)
+    bool dead = false;       ///< crash happened
+    bool announced = false;  ///< the failure detector announced the crash
     /// Exact-match posted receives; each bucket is FIFO in post order.
     /// Buckets are dropped when drained.
     BucketIndex<PostedRecv> posted_exact;
@@ -335,7 +244,6 @@ class World {
     BucketIndex<Envelope> unexpected;
     std::uint64_t next_arrival_seq = 0;
     std::size_t unexpected_count = 0;
-    std::uint64_t next_xsend_seq = 0;  ///< internode send order (sharded)
     std::vector<sim::Pid> companions;
   };
 
@@ -358,53 +266,30 @@ class World {
   void complete_recv(RequestState& req, Envelope env);
   void fail_recv(RequestState& req);
   void announce_death(int world_rank);
+  /// The job-failure abort: kills every surviving rank. Idempotent.
+  void abort_job();
 
   /// Kills all companion processes (progress agents) once every main has
   /// either completed or crashed — after that point no replay can be needed.
   void note_main_done();
   void maybe_retire_companions();
 
-  /// The shard whose slice the calling thread may touch (0 in legacy runs).
-  int shard_view() const { return router_ != nullptr ? sim::current_shard() : 0; }
-
-  std::size_t announced_index(int shard, int world_rank) const {
-    return static_cast<std::size_t>(shard) *
-               static_cast<std::size_t>(num_ranks_) +
-           static_cast<std::size_t>(world_rank);
-  }
-
-  /// Simulator of the shard the calling thread is executing (the one whose
-  /// fibers can be unparked right now).
-  sim::Simulator& local_sim() {
-    return router_ != nullptr ? router_->shard_sim(sim::current_shard())
-                              : *sim_;
-  }
-
-  sim::Simulator* sim_ = nullptr;  ///< legacy single simulator
-  net::Network* net_ = nullptr;    ///< legacy single network
-  ShardRouter* router_ = nullptr;  ///< sharded routing seam
-  const net::MachineModel* model_ = nullptr;
+  sim::Simulator& sim_;
+  net::Network& net_;
   int num_ranks_;
   std::vector<RankState> ranks_;
   std::vector<PhaseTimes> phases_;
-  /// Per-shard death-announcement views, [shard * num_ranks + rank];
-  /// single row in legacy runs.
-  std::vector<char> announced_;
-  /// Ranks owned by each shard; one all-ranks row in legacy runs.
-  std::vector<std::vector<int>> shard_ranks_;
   double detection_delay_ = 50e-6;
   bool launched_ = false;
-  std::atomic<int> mains_done_{0};
-  std::atomic<int> mains_crashed_{0};
+  int mains_done_ = 0;
+  int mains_crashed_ = 0;
 
   /// Per-rank straggler factors (node_slowdown mapped through the topology);
   /// empty when the model declares none.
   std::vector<double> slowdown_of_rank_;
 
-  /// Job-failure state: earliest (time, rank) observation wins, merged under
-  /// the mutex because declarations may race in from different shard worker
-  /// threads within one window. Read only after the run joins.
-  std::mutex job_mu_;
+  /// Job-failure state: earliest (time, rank) observation wins. Read only
+  /// after the run completes.
   bool job_failed_ = false;
   sim::Time job_failed_time_ = 0.0;
   int job_failed_logical_ = -1;

@@ -111,51 +111,6 @@ TEST(ConcurrentSims, DistinctScenariosMatchTheirSerialRuns) {
 }
 
 // ---------------------------------------------------------------------------
-// Sharded engines nested under concurrent outer threads.
-// ---------------------------------------------------------------------------
-
-apps::RunResult run_sharded_scenario(int shards, std::uint64_t seed) {
-  apps::RunConfig cfg;
-  cfg.mode = apps::RunMode::kReplicated;
-  cfg.num_logical = 4;
-  cfg.seed = seed;
-  cfg.shards = shards;
-  apps::HpccgParams p;
-  p.nx = p.ny = p.nz = 10;
-  p.iterations = 2;
-  return apps::run_app(cfg, [&](apps::AppContext& ctx) {
-    const double jitter = ctx.rng.uniform(0.5, 1.5);
-    ctx.compute_phase("seeded_warmup", {1e4 * jitter, 8e4 * jitter});
-    apps::hpccg(ctx, p);
-  });
-}
-
-TEST(ConcurrentSims, ShardedRunsBitIdenticalOnConcurrentThreads) {
-  // Two levels of host parallelism at once: each outer thread drives its own
-  // ShardedEngine (which spawns shard workers of its own). Engines must not
-  // cross-talk — the TSan job runs exactly this — and each concurrent
-  // sharded run must match the serial sharded run bit-for-bit.
-  const apps::RunResult serial = run_sharded_scenario(2, 0xfeedULL);
-  EXPECT_GT(serial.shard_windows, 0u);
-
-  constexpr int kThreads = 3;
-  apps::RunResult results[kThreads];
-  std::vector<std::thread> threads;
-  for (int i = 0; i < kThreads; ++i) {
-    // Mixed shard counts across the outer threads: results are shard-count
-    // invariant, so all must still equal the serial run.
-    threads.emplace_back([&results, i] {
-      results[i] = run_sharded_scenario(i + 1, 0xfeedULL);
-    });
-  }
-  for (std::thread& t : threads) t.join();
-  for (int i = 0; i < kThreads; ++i) {
-    expect_bit_identical(serial, results[i]);
-    EXPECT_EQ(results[i].events, serial.events);
-  }
-}
-
-// ---------------------------------------------------------------------------
 // Determinism fingerprints (context-switch traces) across threads.
 // ---------------------------------------------------------------------------
 

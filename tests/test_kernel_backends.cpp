@@ -3,7 +3,7 @@
 // randomized and edge-shaped inputs, the REPMPI_VERIFY_BACKEND
 // recompute-and-compare mode across all four apps, and backend-agnosticism
 // of the end-to-end virtual-time results (including ComputeCache sharing
-// and the sharded engine's worker-thread install).
+// and a run's backend install on a fresh thread).
 
 #include <gtest/gtest.h>
 
@@ -431,20 +431,21 @@ TEST(BackendVerifyMode, AllFourAppsPassRecomputeAndCompare) {
 struct AppOutcome {
   apps::RunResult run;
   double value = 0;
+  Backend active = Backend::kAuto;  ///< backend the rank mains ran under
 };
 
-AppOutcome run_hpccg(Backend backend, int shards = 0) {
+AppOutcome run_hpccg(Backend backend) {
   apps::RunConfig cfg;
   cfg.mode = apps::RunMode::kIntra;
   cfg.num_logical = 2;
   cfg.degree = 2;
   cfg.backend = backend;
-  cfg.shards = shards;
   apps::HpccgParams p;
   p.nx = p.ny = p.nz = 8;
   p.iterations = 3;
   AppOutcome out;
   out.run = apps::run_app(cfg, [&](apps::AppContext& ctx) {
+    out.active = kernels::active_backend();
     const apps::HpccgResult r = apps::hpccg(ctx, p);
     out.value = r.xsum + r.rnorm;
   });
@@ -476,13 +477,18 @@ TEST(BackendEndToEnd, ComputeCacheSharingBitIdenticalAcrossBackends) {
   }
 }
 
-TEST(BackendEndToEnd, ShardedWorkersInstallTheRunBackend) {
+TEST(BackendEndToEnd, FreshThreadInstallsTheRunBackend) {
   const std::vector<Backend> simd = simd_backends();
   if (simd.empty()) GTEST_SKIP() << "no SIMD backend on this build/host";
-  // Rank fibers execute on engine worker threads; cfg.backend must reach
-  // them through the worker hook, and results must match the scalar run.
-  const AppOutcome scalar = run_hpccg(Backend::kScalar, /*shards=*/1);
-  const AppOutcome vec = run_hpccg(simd.back(), /*shards=*/2);
+  // A sweep pool cell runs its simulation on a worker thread that never
+  // set a backend: cfg.backend must still reach the rank fibers there, and
+  // results must match the scalar run on the main thread.
+  const AppOutcome scalar = run_hpccg(Backend::kScalar);
+  AppOutcome vec;
+  std::thread cell([&vec, b = simd.back()] { vec = run_hpccg(b); });
+  cell.join();
+  EXPECT_EQ(scalar.active, Backend::kScalar);
+  EXPECT_EQ(vec.active, simd.back());
   expect_same_outcome(scalar, vec);
 }
 

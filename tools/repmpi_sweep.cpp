@@ -218,7 +218,7 @@ bool file_nonempty(const std::string& path) {
 
 int run_sweep(const support::Options& opt, const char* argv0) {
   // Out-of-range values are an error, not a silent clamp (same policy as
-  // repmpi_bench --jobs/--shards).
+  // repmpi_bench --jobs).
   const auto ranged = [&opt](const char* key, long def, long lo, long hi,
                              long& out) {
     out = opt.get_int(key, def);
