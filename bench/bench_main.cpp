@@ -90,8 +90,8 @@ void print_usage() {
          "--repeat=N runs each selected bench N times and reports the run\n"
          "with the median wall time (virtual-time metrics are identical\n"
          "across repeats; CI uses this to de-noise the perf trajectory).\n"
-         "--backend={auto,scalar,avx2,avx512} selects the host kernel\n"
-         "backend for the batch kernels (SpMV, stencil, PIC, vector ops).\n"
+         "--backend={auto,scalar,avx2} selects the host kernel backend\n"
+         "for the batch kernels (SpMV, stencil, PIC).\n"
          "auto (default) picks the best the CPU supports. Virtual-time\n"
          "results are bit-identical under every backend; only host wall\n"
          "time changes. Requesting a backend this build or CPU lacks is\n"
@@ -321,7 +321,7 @@ int driver(int argc, char** argv) {
     if (v == "true" || v.empty() ||
         !kernels::backend_from_string(v, &requested)) {
       std::cerr << "repmpi_bench: --backend expects one of auto, scalar, "
-                   "avx2, avx512; got '"
+                   "avx2; got '"
                 << (v == "true" ? "" : v) << "'\n";
       return 2;
     }

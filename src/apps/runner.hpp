@@ -69,8 +69,8 @@ struct RunConfig {
   /// nodes_per_domain > 0): a single domain kill then never wipes every
   /// replica of a logical rank. Off = the paper's plain different-node rule.
   bool domain_aware_placement = true;
-  /// Host kernel backend for this run's batch kernels (SpMV, stencil, PIC,
-  /// vector ops). kAuto = the process default (best supported by CPUID).
+  /// Host kernel backend for this run's batch kernels (SpMV, stencil, PIC).
+  /// kAuto = the process default (best supported by CPUID).
   /// Simulated results are bit-identical under every backend — the SIMD
   /// paths preserve the scalar accumulation order per output element — so
   /// this only changes host wall-clock. Installed thread-locally on the

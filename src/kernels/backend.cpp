@@ -12,22 +12,14 @@ namespace repmpi::kernels {
 namespace {
 
 const BackendOps kScalarOps{
-    Backend::kScalar,     detail::waxpby_scalar,      detail::axpy_scalar,
-    detail::ddot_scalar,  detail::gather_table_scalar, detail::stencil_row_scalar,
-    detail::charge_scalar, detail::push_scalar,
+    Backend::kScalar,           detail::gather_table_scalar,
+    detail::stencil_row_scalar, detail::charge_scalar,
+    detail::push_scalar,
 };
 
 bool cpu_has_avx2() {
 #if (defined(__x86_64__) || defined(__i386__)) && defined(__GNUC__)
   return __builtin_cpu_supports("avx2") != 0;
-#else
-  return false;
-#endif
-}
-
-bool cpu_has_avx512() {
-#if (defined(__x86_64__) || defined(__i386__)) && defined(__GNUC__)
-  return __builtin_cpu_supports("avx512f") != 0;
 #else
   return false;
 #endif
@@ -55,8 +47,6 @@ const char* to_string(Backend b) {
       return "scalar";
     case Backend::kAvx2:
       return "avx2";
-    case Backend::kAvx512:
-      return "avx512";
   }
   return "?";
 }
@@ -65,7 +55,6 @@ bool backend_from_string(std::string_view name, Backend* out) {
   if (name == "auto") *out = Backend::kAuto;
   else if (name == "scalar") *out = Backend::kScalar;
   else if (name == "avx2") *out = Backend::kAvx2;
-  else if (name == "avx512") *out = Backend::kAvx512;
   else return false;
   return true;
 }
@@ -81,30 +70,16 @@ bool backend_compiled(Backend b) {
 #else
       return false;
 #endif
-    case Backend::kAvx512:
-#ifdef REPMPI_HAVE_AVX512
-      return true;
-#else
-      return false;
-#endif
   }
   return false;
 }
 
 bool backend_supported(Backend b) {
   if (!backend_compiled(b)) return false;
-  switch (b) {
-    case Backend::kAvx2:
-      return cpu_has_avx2();
-    case Backend::kAvx512:
-      return cpu_has_avx512();
-    default:
-      return true;
-  }
+  return b != Backend::kAvx2 || cpu_has_avx2();
 }
 
 Backend detect_backend() {
-  if (backend_supported(Backend::kAvx512)) return Backend::kAvx512;
   if (backend_supported(Backend::kAvx2)) return Backend::kAvx2;
   return Backend::kScalar;
 }
@@ -133,18 +108,10 @@ const BackendOps& backend_ops(Backend b) {
   if (b == Backend::kAuto) b = process_default_backend();
   REPMPI_CHECK_MSG(backend_supported(b), "kernel backend '" << to_string(b)
                        << "' is not supported on this host");
-  switch (b) {
 #ifdef REPMPI_HAVE_AVX2
-    case Backend::kAvx2:
-      return detail::avx2_ops();
+  if (b == Backend::kAvx2) return detail::avx2_ops();
 #endif
-#ifdef REPMPI_HAVE_AVX512
-    case Backend::kAvx512:
-      return detail::avx512_ops();
-#endif
-    default:
-      return kScalarOps;
-  }
+  return kScalarOps;
 }
 
 const BackendOps& active_ops() {

@@ -1,22 +1,22 @@
 #pragma once
 
-// Pluggable kernel backends: scalar / AVX2 / AVX-512 implementations of the
-// four kernel families (SpMV row gather, 27-point stencil rows, PIC
-// charge/push, vector ops), selected at runtime by CPUID dispatch with a
-// compile-time fallback (a build without SIMD support simply has fewer
-// backends compiled in).
+// Pluggable kernel backends: scalar and AVX2 implementations of the three
+// kernel families where SIMD pays on the host (SpMV row gather, 27-point
+// stencil rows, PIC charge/push), selected at runtime by CPUID dispatch with
+// a compile-time fallback (a build without -mavx2 has only the scalar
+// backend). The memory-bound vector ops (kernels/vector_ops.hpp) are plain
+// loops outside this seam: SIMD measured no faster there.
 //
 // The contract that makes a backend swappable at all: the scalar backend is
-// the bit-exact reference, and every SIMD path preserves the scalar
+// the bit-exact reference, and the AVX2 path preserves the scalar
 // accumulation order *per output element*. SIMD lanes map to independent
-// outputs (rows, cells, particles), reductions that feed one output stay
-// lane-ordered, and the SIMD translation units are compiled with
-// -ffp-contract=off so no multiply-add pair is fused into an FMA the scalar
-// reference never executed. Virtual-time results — efficiencies, event and
-// message counts, determinism fingerprints, ComputeCache bytes — are
-// therefore identical under every backend, which is what lets the drift
-// gate run the same baseline at --backend=scalar and --backend=avx2, and
-// what makes a shared-compute cache hit backend-agnostic.
+// outputs (rows, cells, particles), and the SIMD translation unit is
+// compiled with -ffp-contract=off so no multiply-add pair is fused into an
+// FMA the scalar reference never executed. Virtual-time results —
+// efficiencies, event and message counts, determinism fingerprints,
+// ComputeCache bytes — are therefore identical under every backend, which
+// is what lets the drift gate run the same baseline at --backend=scalar and
+// the default, and what makes a shared-compute cache hit backend-agnostic.
 //
 // Enforcement: REPMPI_VERIFY_BACKEND=1 (or set_verify_backend) makes every
 // dispatched kernel re-run its inputs through the scalar reference and
@@ -43,18 +43,17 @@ enum class Backend : int {
   kAuto = 0,    ///< resolve to the process default at use
   kScalar = 1,  ///< bit-exact reference, always compiled
   kAvx2 = 2,    ///< 4-wide doubles (compiled when the toolchain has -mavx2)
-  kAvx512 = 3,  ///< 8-wide doubles (compiled when the toolchain has -mavx512f)
 };
 
 const char* to_string(Backend b);
-/// Parses "auto" / "scalar" / "avx2" / "avx512"; false on anything else.
+/// Parses "auto" / "scalar" / "avx2"; false on anything else.
 bool backend_from_string(std::string_view name, Backend* out);
 
 /// The backend's translation unit is built into this binary.
 bool backend_compiled(Backend b);
 /// Compiled *and* the host CPU executes it (CPUID). kAuto/kScalar: always.
 bool backend_supported(Backend b);
-/// Best supported backend: avx512 > avx2 > scalar.
+/// Best supported backend: avx2 > scalar.
 Backend detect_backend();
 
 /// Process-wide default, used by threads with no ScopedBackend installed.
@@ -79,19 +78,12 @@ class ScopedBackend {
   const void* prev_;
 };
 
-/// One batched-execution entry point per kernel family. All pointers are
-/// non-null in every table; public kernel APIs (sparse/stencil/pic/
-/// vector_ops) keep their signatures and dispatch through the active table
+/// One batched-execution entry point per SIMD-worthy kernel family. All
+/// pointers are non-null in every table; public kernel APIs (sparse/stencil/
+/// pic) keep their signatures and dispatch through the active table
 /// internally, so callers never see the seam.
 struct BackendOps {
   Backend kind = Backend::kScalar;
-  /// w[i] = alpha*x[i] + beta*y[i] (w may alias x or y).
-  void (*waxpby)(double alpha, const double* x, double beta, const double* y,
-                 double* w, std::size_t n);
-  /// y[i] += alpha*x[i].
-  void (*axpy)(double alpha, const double* x, double* y, std::size_t n);
-  /// Returns sum_i x[i]*y[i] in scalar accumulation order (lane-ordered).
-  double (*ddot)(const double* x, const double* y, std::size_t n);
   /// acc[r - r0] = one structured row per r in [r0, r1) from a fixed
   /// (offset, weight) table — csr_row_gather's interior-run unit.
   void (*gather_table)(const double* xp, double* acc, std::int64_t r0,

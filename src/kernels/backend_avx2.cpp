@@ -2,12 +2,10 @@
 //
 // Bit-identity discipline (see kernels/backend.hpp): lanes are independent
 // outputs (rows, cells, particles), so each lane executes exactly the
-// scalar reference's operation sequence; reductions that feed one output
-// (ddot) keep the scalar's serial add order and only vectorize the
-// products. Multiplies and adds stay separate instructions — the scalar
-// reference has no FMA, and this TU is compiled with -ffp-contract=off so
-// the compiler cannot fuse them behind our back. Remainder elements run the
-// shared scalar loop bodies (backend_detail.hpp).
+// scalar reference's operation sequence. Multiplies and adds stay separate
+// instructions — the scalar reference has no FMA, and this TU is compiled
+// with -ffp-contract=off so the compiler cannot fuse them behind our back.
+// Remainder elements run the shared scalar loop bodies (backend_detail.hpp).
 
 #include <immintrin.h>
 
@@ -16,52 +14,6 @@
 namespace repmpi::kernels::detail {
 
 namespace {
-
-// --- Vector ops -------------------------------------------------------------
-
-void waxpby_avx2(double alpha, const double* x, double beta, const double* y,
-                 double* w, std::size_t n) {
-  const __m256d av = _mm256_set1_pd(alpha);
-  const __m256d bv = _mm256_set1_pd(beta);
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256d ax = _mm256_mul_pd(av, _mm256_loadu_pd(x + i));
-    const __m256d by = _mm256_mul_pd(bv, _mm256_loadu_pd(y + i));
-    _mm256_storeu_pd(w + i, _mm256_add_pd(ax, by));
-  }
-  for (; i < n; ++i) w[i] = alpha * x[i] + beta * y[i];
-}
-
-void axpy_avx2(double alpha, const double* x, double* y, std::size_t n) {
-  const __m256d av = _mm256_set1_pd(alpha);
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256d ax = _mm256_mul_pd(av, _mm256_loadu_pd(x + i));
-    _mm256_storeu_pd(y + i, _mm256_add_pd(_mm256_loadu_pd(y + i), ax));
-  }
-  for (; i < n; ++i) y[i] += alpha * x[i];
-}
-
-// Lane-ordered reduction: the products are computed 4 at a time, but the
-// accumulator consumes them in index order through one serial add chain —
-// the exact scalar sequence, so the sum is bit-identical (and the kernel
-// stays chain-latency-bound like the scalar loop; ddot is dispatched for
-// uniformity, not speed).
-double ddot_avx2(const double* x, const double* y, std::size_t n) {
-  double acc = 0.0;
-  std::size_t i = 0;
-  alignas(32) double lanes[4];
-  for (; i + 4 <= n; i += 4) {
-    _mm256_store_pd(lanes, _mm256_mul_pd(_mm256_loadu_pd(x + i),
-                                         _mm256_loadu_pd(y + i)));
-    acc += lanes[0];
-    acc += lanes[1];
-    acc += lanes[2];
-    acc += lanes[3];
-  }
-  for (; i < n; ++i) acc += x[i] * y[i];
-  return acc;
-}
 
 // --- SpMV structured row gather ---------------------------------------------
 
@@ -244,8 +196,6 @@ inline Axis4 axis4_of(__m256d p, int m) {
   return {iw, i1, f};
 }
 
-// Bilinear gather of two fields at 4 particles' (ax, ay): weight products
-// and the ((g00*w00 + g10*w10) + g01*w01) + g11*w11 sum order match
 // All-lanes i32 gather via the masked form: the plain _mm256_i32gather_pd
 // starts from an undefined source register, which GCC 12 flags as
 // maybe-uninitialized under -Werror; an explicit zero source with a full
@@ -256,7 +206,9 @@ inline __m256d gather_pd(const double* base, __m128i idx) {
       _mm256_castsi256_pd(_mm256_set1_epi64x(-1)), 8);
 }
 
-// detail::gather2 per lane; the four field reads become i32 gathers.
+// Bilinear gather of two fields at 4 particles' (ax, ay): detail::gather2
+// per lane — its weight products and ((g00*w00 + g10*w10) + g01*w01) +
+// g11*w11 sum order — with the four field reads as i32 gathers.
 inline void gather2x4(const double* fa, const double* fb, int mx,
                       const Axis4& ax, const Axis4& ay, __m256d* va,
                       __m256d* vb) {
@@ -337,8 +289,6 @@ inline void deposit4_of(const Axis4& ax, const Axis4& ay, double w, int mx,
   _mm_store_si128(reinterpret_cast<__m128i*>(out->i11),
                   _mm_add_epi32(row1, ax.i1));
 }
-
-}  // namespace
 
 // charge: axes and bilinear weights are computed 4 particles at a time, but
 // the grid scatters stay serial in particle order — ring points of one
@@ -429,11 +379,8 @@ void push_avx2(double* x, double* y, double* vx, double* vy,
     push_one(x, y, vx, vy, rho, i, lx, ly, sx, sy, dt, ex, ey);
 }
 
-namespace {
-
 const BackendOps kAvx2Ops{
-    Backend::kAvx2, waxpby_avx2,      axpy_avx2,   ddot_avx2,
-    gather_table_avx2, stencil_row_avx2, charge_avx2, push_avx2,
+    Backend::kAvx2, gather_table_avx2, stencil_row_avx2, charge_avx2, push_avx2,
 };
 
 }  // namespace

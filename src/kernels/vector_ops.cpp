@@ -1,11 +1,14 @@
 #include "kernels/vector_ops.hpp"
 
-#include <vector>
-
 #include "kernels/backend.hpp"
 #include "support/error.hpp"
 
 namespace repmpi::kernels {
+
+// Plain loops, outside the backend seam: the vector ops are memory-bound and
+// SIMD versions measured no faster. This TU is built with -ffp-contract=off,
+// so the compiler may vectorize the elementwise loops but never fuses their
+// multiply-add pairs; the results do not depend on the kernel backend.
 
 net::ComputeCost waxpby(double alpha, std::span<const double> x, double beta,
                         std::span<const double> y, std::span<double> w) {
@@ -13,20 +16,8 @@ net::ComputeCost waxpby(double alpha, std::span<const double> x, double beta,
   // HPCCG special-cases alpha==1/beta==1; the arithmetic shortcut does not
   // change the memory-bound cost, so one code path suffices here.
   const KernelTimer timer(KernelFamily::kVector);
-  const BackendOps& ops = active_ops();
   const std::size_t n = w.size();
-  if (ops.kind != Backend::kScalar && verify_backend_active()) {
-    // w may alias x or y (the solver's inout vectors), so snapshot the
-    // inputs before the SIMD pass and recompute scalar from the snapshots.
-    std::vector<double> sx(x.begin(), x.end()), sy(y.begin(), y.end());
-    ops.waxpby(alpha, x.data(), beta, y.data(), w.data(), n);
-    std::vector<double> want(n);
-    backend_ops(Backend::kScalar)
-        .waxpby(alpha, sx.data(), beta, sy.data(), want.data(), n);
-    verify_backend_match("waxpby", w.data(), want.data(), n);
-  } else {
-    ops.waxpby(alpha, x.data(), beta, y.data(), w.data(), n);
-  }
+  for (std::size_t i = 0; i < n; ++i) w[i] = alpha * x[i] + beta * y[i];
   return waxpby_cost(n);
 }
 
@@ -34,13 +25,9 @@ net::ComputeCost ddot(std::span<const double> x, std::span<const double> y,
                       double* out) {
   REPMPI_CHECK(x.size() == y.size() && out != nullptr);
   const KernelTimer timer(KernelFamily::kVector);
-  const BackendOps& ops = active_ops();
-  *out = ops.ddot(x.data(), y.data(), x.size());
-  if (ops.kind != Backend::kScalar && verify_backend_active()) {
-    const double want =
-        backend_ops(Backend::kScalar).ddot(x.data(), y.data(), x.size());
-    verify_backend_match("ddot", out, &want, 1);
-  }
+  double acc = 0.0;
+  for (std::size_t i = 0; i < x.size(); ++i) acc += x[i] * y[i];
+  *out = acc;
   return ddot_cost(x.size());
 }
 
@@ -48,17 +35,8 @@ net::ComputeCost axpy(double alpha, std::span<const double> x,
                       std::span<double> y) {
   REPMPI_CHECK(x.size() == y.size());
   const KernelTimer timer(KernelFamily::kVector);
-  const BackendOps& ops = active_ops();
   const std::size_t n = y.size();
-  if (ops.kind != Backend::kScalar && verify_backend_active()) {
-    // y is inout: run both backends from the same starting y.
-    std::vector<double> want(y.begin(), y.end());
-    ops.axpy(alpha, x.data(), y.data(), n);
-    backend_ops(Backend::kScalar).axpy(alpha, x.data(), want.data(), n);
-    verify_backend_match("axpy", y.data(), want.data(), n);
-  } else {
-    ops.axpy(alpha, x.data(), y.data(), n);
-  }
+  for (std::size_t i = 0; i < n; ++i) y[i] += alpha * x[i];
   return {2.0 * static_cast<double>(n), 24.0 * static_cast<double>(n)};
 }
 

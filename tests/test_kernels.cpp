@@ -17,6 +17,19 @@
 namespace repmpi::kernels {
 namespace {
 
+/// Empty, shorter than one vector register, and odd remainders of 2-, 4- and
+/// 8-wide loops: the compiler may vectorize the vector ops.
+constexpr std::size_t kEdgeLengths[] = {0, 1, 3, 5, 7, 67};
+
+/// Small dyadic values: every product and sum in the closed forms below is
+/// exact, so they must match the kernels exactly.
+std::vector<double> ramp(std::size_t n, double step, double shift) {
+  std::vector<double> v(n);
+  for (std::size_t i = 0; i < n; ++i)
+    v[i] = step * static_cast<double>(i % 11) + shift;
+  return v;
+}
+
 TEST(VectorOps, Waxpby) {
   std::vector<double> x{1, 2, 3}, y{10, 20, 30}, w(3);
   const auto cost = waxpby(2.0, x, 0.5, y, w);
@@ -24,6 +37,21 @@ TEST(VectorOps, Waxpby) {
   EXPECT_DOUBLE_EQ(w[1], 14.0);
   EXPECT_DOUBLE_EQ(w[2], 21.0);
   EXPECT_DOUBLE_EQ(cost.flops, 6.0);
+
+  const double alpha = 1.5, beta = -0.25;
+  for (const std::size_t n : kEdgeLengths) {
+    const std::vector<double> xs = ramp(n, 0.5, -2.0);
+    const std::vector<double> ys = ramp(n, 3.0, 1.0);
+    std::vector<double> ws(n, -7.0);
+    waxpby(alpha, xs, beta, ys, ws);
+    std::vector<double> aliased = xs;
+    waxpby(alpha, aliased, beta, ys, aliased);  // w == x
+    for (std::size_t i = 0; i < n; ++i) {
+      const double want = alpha * xs[i] + beta * ys[i];
+      EXPECT_EQ(ws[i], want) << "n=" << n << " i=" << i;
+      EXPECT_EQ(aliased[i], want) << "aliased n=" << n << " i=" << i;
+    }
+  }
 }
 
 TEST(VectorOps, Ddot) {
@@ -31,6 +59,16 @@ TEST(VectorOps, Ddot) {
   double out = 0;
   ddot(x, y, &out);
   EXPECT_DOUBLE_EQ(out, 32.0);
+
+  for (const std::size_t n : kEdgeLengths) {
+    const std::vector<double> xs = ramp(n, 0.5, -2.0);
+    const std::vector<double> ys = ramp(n, 3.0, 1.0);
+    double want = 0.0;
+    for (std::size_t i = 0; i < n; ++i) want += xs[i] * ys[i];
+    double got = -7.0;
+    ddot(xs, ys, &got);
+    EXPECT_EQ(got, want) << "n=" << n;
+  }
 }
 
 TEST(VectorOps, Axpy) {
@@ -38,6 +76,16 @@ TEST(VectorOps, Axpy) {
   axpy(3.0, x, y);
   EXPECT_DOUBLE_EQ(y[0], 4.0);
   EXPECT_DOUBLE_EQ(y[2], 6.0);
+
+  const double alpha = -0.75;
+  for (const std::size_t n : kEdgeLengths) {
+    const std::vector<double> xs = ramp(n, 0.5, -2.0);
+    const std::vector<double> y0 = ramp(n, 3.0, 1.0);
+    std::vector<double> ys = y0;
+    axpy(alpha, xs, ys);
+    for (std::size_t i = 0; i < n; ++i)
+      EXPECT_EQ(ys[i], y0[i] + alpha * xs[i]) << "n=" << n << " i=" << i;
+  }
 }
 
 TEST(Sparse, InteriorRowHas27Nonzeros) {
