@@ -20,12 +20,16 @@
 // (wall_ms / events_per_sec / messages_per_sec, derived from the
 // thread-local simulator counters), and the headline metrics the bench
 // recorded through BenchContext::metric — the perf trajectory that CI
-// archives across PRs. Virtual-time metrics are deterministic; the
+// archives across PRs. Each entry also carries host_cpu_ms (the bench
+// thread's CPU time) and host_wall_ms_min/host_wall_ms_max (the spread of
+// the --repeat runs the median entry was picked from). Virtual-time
+// metrics are deterministic; the
 // throughput fields and any metric prefixed "host_" are host-dependent and
 // excluded from regression diffs (tools/check_bench_drift.py).
 
 #include <pthread.h>
 #include <signal.h>
+#include <time.h>
 
 #include <algorithm>
 #include <atomic>
@@ -62,15 +66,6 @@ struct BenchOutcome {
   std::string output;  ///< the bench's buffered text output
 };
 
-double median_wall(std::vector<BenchOutcome>& runs) {
-  std::vector<double> walls;
-  walls.reserve(runs.size());
-  for (const BenchOutcome& o : runs) walls.push_back(o.wall_time_s);
-  std::nth_element(walls.begin(), walls.begin() + walls.size() / 2,
-                   walls.end());
-  return walls[walls.size() / 2];
-}
-
 void print_usage() {
   std::cout
       << "usage: repmpi_bench --list\n"
@@ -89,7 +84,9 @@ void print_usage() {
          "are bit-identical to --jobs=1, only wall-clock changes).\n"
          "--repeat=N runs each selected bench N times and reports the run\n"
          "with the median wall time (virtual-time metrics are identical\n"
-         "across repeats; CI uses this to de-noise the perf trajectory).\n"
+         "across repeats; CI uses this to de-noise the perf trajectory),\n"
+         "plus host_wall_ms_min/host_wall_ms_max over the N runs and\n"
+         "host_cpu_ms, the reported run's thread CPU time.\n"
          "--backend={auto,scalar,avx2} selects the host kernel backend\n"
          "for the batch kernels (SpMV, stencil, PIC).\n"
          "auto (default) picks the best the CPU supports. Virtual-time\n"
@@ -207,6 +204,14 @@ bool write_report(const std::string& path,
   return true;
 }
 
+/// CPU time of the calling thread. A bench runs on one worker thread, so
+/// this is its CPU time (the sweep bench's own pool workers excluded).
+double thread_cpu_s() {
+  timespec ts{};
+  clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
+  return static_cast<double>(ts.tv_sec) + static_cast<double>(ts.tv_nsec) * 1e-9;
+}
+
 /// Runs one bench to completion on the calling thread. The thread-local
 /// substrate totals make the before/after delta exact even when other
 /// benches run concurrently on sibling worker threads.
@@ -217,6 +222,7 @@ BenchOutcome run_one(const BenchInfo& info, const support::Options& opt) {
   const sim::SubstrateTotals before = sim::substrate_totals();
   const support::ComputeCacheStats cc_before = support::compute_cache_totals();
   const kernels::KernelTotals kt_before = kernels::kernel_totals();
+  const double cpu_start = thread_cpu_s();
   const auto start = std::chrono::steady_clock::now();
   try {
     o.status = info.fn(ctx);
@@ -225,12 +231,14 @@ BenchOutcome run_one(const BenchInfo& info, const support::Options& opt) {
     o.error = e.what();
   }
   const auto end = std::chrono::steady_clock::now();
+  const double cpu_s = thread_cpu_s() - cpu_start;
   const sim::SubstrateTotals after = sim::substrate_totals();
   const support::ComputeCacheStats cc_after = support::compute_cache_totals();
   o.wall_time_s = std::chrono::duration<double>(end - start).count();
   o.events = after.events - before.events;
   o.messages = after.messages - before.messages;
   o.metrics = ctx.metrics();
+  o.metrics.emplace_back("host_cpu_ms", cpu_s * 1e3);
   // Replica-compute sharing counters for every bench (host_ prefix: host-
   // side behavior, excluded from the virtual-time drift gate).
   o.metrics.emplace_back("host_compute_cache_hits",
@@ -279,18 +287,25 @@ BenchOutcome run_one(const BenchInfo& info, const support::Options& opt) {
 /// Runs a bench `repeat` times and returns the run with the median wall
 /// time. Virtual-time metrics are deterministic (identical across repeats),
 /// so only the host-side wall/throughput numbers differ — the median damps
-/// scheduler noise in the perf-trajectory artifacts (--repeat in CI's
-/// full-size job).
-BenchOutcome run_median(const BenchInfo& info, const support::Options& opt,
-                        int repeat) {
+/// scheduler noise in the perf-trajectory artifacts, and host_wall_ms_min/
+/// host_wall_ms_max record the spread it was taken from.
+BenchOutcome run_repeated(const BenchInfo& info, const support::Options& opt,
+                          int repeat) {
   std::vector<BenchOutcome> runs;
   runs.reserve(static_cast<std::size_t>(repeat));
   for (int i = 0; i < repeat; ++i) runs.push_back(run_one(info, opt));
-  const double med = median_wall(runs);
-  for (BenchOutcome& o : runs) {
-    if (o.wall_time_s == med) return std::move(o);
-  }
-  return std::move(runs.back());
+  const auto by_wall = [](const BenchOutcome& a, const BenchOutcome& b) {
+    return a.wall_time_s < b.wall_time_s;
+  };
+  const auto [lo, hi] = std::minmax_element(runs.begin(), runs.end(), by_wall);
+  const double min_ms = lo->wall_time_s * 1e3;
+  const double max_ms = hi->wall_time_s * 1e3;
+  std::nth_element(runs.begin(), runs.begin() + repeat / 2, runs.end(),
+                   by_wall);
+  BenchOutcome o = std::move(runs[static_cast<std::size_t>(repeat / 2)]);
+  o.metrics.emplace_back("host_wall_ms_min", min_ms);
+  o.metrics.emplace_back("host_wall_ms_max", max_ms);
+  return o;
 }
 
 int driver(int argc, char** argv) {
@@ -519,8 +534,7 @@ int driver(int argc, char** argv) {
           started[i] = true;
           starts[i] = BenchClock::now();
         }
-        BenchOutcome o = repeat > 1 ? run_median(*selected[i], opt, repeat)
-                                    : run_one(*selected[i], opt);
+        BenchOutcome o = run_repeated(*selected[i], opt, repeat);
         {
           // One intact block per bench, in completion order.
           std::lock_guard<std::mutex> lk(print_mu);

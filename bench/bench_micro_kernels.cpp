@@ -40,7 +40,7 @@ void bm_spmv(benchmark::State& state, kernels::Backend b, int n) {
   std::vector<double> y(static_cast<std::size_t>(a->rows()));
   fill(x, 1);
   for (auto _ : state) {
-    kernels::csr_row_gather(*a, x, y, 0, a->rows());
+    kernels::row_gather(*a, x, y, 0, a->rows());
     benchmark::DoNotOptimize(y.data());
   }
   state.SetItemsProcessed(state.iterations() * a->rows());

@@ -10,12 +10,12 @@ namespace repmpi::apps {
 
 namespace {
 
-using kernels::CsrMatrix;
+using kernels::GridOperator;
 
-/// One multigrid level: operator, extracted diagonal, and work vectors.
+/// One multigrid level: operator, inverse diagonal, and work vectors.
 struct Level {
-  std::shared_ptr<const CsrMatrix> a;
-  std::vector<double> inv_diag;
+  std::shared_ptr<const GridOperator> a;
+  double inv_diag = 0.0;  ///< every row's diagonal is the stencil size
   std::vector<double> xh;    ///< iterate, with halo planes (vector_len)
   std::vector<double> xh2;   ///< sweep double-buffer, with halo planes
   std::vector<double> b, r;  ///< interior-size work vectors
@@ -45,25 +45,7 @@ class AmgSolver {
       Level lev;
       lev.a = kernels::grid_matrix_cached(p.stencil, nx, ny, nz, lower, upper);
       ctx_.proc.compute(kernels::sparsemv_cost(lev.a->rows(), lev.a->nnz()));
-      lev.inv_diag.assign(lev.a->interior(), 0.0);
-      // Diagonal extraction is host-only setup work (no simulated cost is
-      // charged for it), identical across replicas — share it too.
-      ctx_.share.shared(
-          "setup.invdiag",
-          {std::as_writable_bytes(std::span(lev.inv_diag))},
-          [&]() -> net::ComputeCost {
-            for (std::int64_t row = 0; row < lev.a->rows(); ++row) {
-              for (std::int64_t k =
-                       lev.a->row_start[static_cast<std::size_t>(row)];
-                   k < lev.a->row_start[static_cast<std::size_t>(row) + 1];
-                   ++k) {
-                if (lev.a->col[static_cast<std::size_t>(k)] == row)
-                  lev.inv_diag[static_cast<std::size_t>(row)] =
-                      1.0 / lev.a->val[static_cast<std::size_t>(k)];
-              }
-            }
-            return {};
-          });
+      lev.inv_diag = 1.0 / lev.a->diagonal();
       lev.xh.assign(lev.a->vector_len(), 0.0);
       lev.xh2.assign(lev.a->vector_len(), 0.0);
       lev.b.assign(lev.a->interior(), 0.0);
@@ -81,7 +63,7 @@ class AmgSolver {
   /// Exchanges the boundary planes of a halo-carrying vector on level l.
   void halo_exchange(int l, std::span<double> v) {
     mpi::ScopedPhase sp(ctx_.proc, "comm");
-    const CsrMatrix& a = *levels_[static_cast<std::size_t>(l)].a;
+    const GridOperator& a = *levels_[static_cast<std::size_t>(l)].a;
     rep::LogicalComm& comm = ctx_.comm;
     const int rank = comm.rank();
     const int nr = comm.size();
@@ -128,23 +110,20 @@ class AmgSolver {
     // modes.
     mpi::ScopedPhase sp(ctx_.proc, "smoother");
     const double w = p_.jacobi_weight;
-    const CsrMatrix& a = *lev.a;
+    const GridOperator& a = *lev.a;
     const auto row_update = [&a, &lev, b, w](std::int64_t r0, std::int64_t r1,
                                              std::span<double> out) {
-      // Row accumulation through the shared (structured-fast) gather, then
-      // the elementwise damped-Jacobi update — same per-row operation order
-      // as the fused loop, so results are bit-identical.
-      kernels::csr_row_gather(a, lev.xh, out, r0, r1);
+      // Row accumulation through the shared gather, then the elementwise
+      // damped-Jacobi update — same per-row operation order as the fused
+      // loop, so results are bit-identical.
+      kernels::row_gather(a, lev.xh, out, r0, r1);
       for (std::int64_t row = r0; row < r1; ++row) {
         const double acc = out[static_cast<std::size_t>(row - r0)];
         out[static_cast<std::size_t>(row - r0)] =
             lev.xh[static_cast<std::size_t>(row)] +
-            w * (b[static_cast<std::size_t>(row)] - acc) *
-                lev.inv_diag[static_cast<std::size_t>(row)];
+            w * (b[static_cast<std::size_t>(row)] - acc) * lev.inv_diag;
       }
-      std::int64_t nnz = a.row_start[static_cast<std::size_t>(r1)] -
-                         a.row_start[static_cast<std::size_t>(r0)];
-      return kernels::sparsemv_cost(r1 - r0, nnz) +
+      return kernels::sparsemv_cost(r1 - r0, a.nnz(r0, r1)) +
              net::ComputeCost{4.0 * static_cast<double>(r1 - r0),
                               24.0 * static_cast<double>(r1 - r0)};
     };
@@ -195,8 +174,8 @@ class AmgSolver {
   void restrict_to(int l, std::span<const double> fine_v,
                    std::span<double> coarse_v) {
     mpi::ScopedPhase sp(ctx_.proc, "transfer");
-    const CsrMatrix& fa = *levels_[static_cast<std::size_t>(l)].a;
-    const CsrMatrix& ca = *levels_[static_cast<std::size_t>(l) + 1].a;
+    const GridOperator& fa = *levels_[static_cast<std::size_t>(l)].a;
+    const GridOperator& ca = *levels_[static_cast<std::size_t>(l) + 1].a;
     // AMG restriction applies the transpose interpolation operator, whose
     // cost is comparable to a matvec (unlike cheap geometric averaging);
     // charged per fine point.
@@ -238,8 +217,8 @@ class AmgSolver {
   void prolong_add(int l, std::span<const double> coarse_v) {
     mpi::ScopedPhase sp(ctx_.proc, "transfer");
     Level& flev = levels_[static_cast<std::size_t>(l)];
-    const CsrMatrix& fa = *flev.a;
-    const CsrMatrix& ca = *levels_[static_cast<std::size_t>(l) + 1].a;
+    const GridOperator& fa = *flev.a;
+    const GridOperator& ca = *levels_[static_cast<std::size_t>(l) + 1].a;
     // AMG prolongation is likewise an interpolation-operator matvec. The
     // update is in place over the fine interior (an inout region: sharing
     // restores the post-update bytes).

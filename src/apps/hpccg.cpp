@@ -12,8 +12,8 @@ namespace repmpi::apps {
 namespace {
 
 /// Exchanges the boundary z-planes of `v` with the z-neighbors (v is laid
-/// out as interior + bottom halo + top halo, matching CsrMatrix).
-void halo_exchange(AppContext& ctx, const kernels::CsrMatrix& a,
+/// out as interior + bottom halo + top halo, matching GridOperator).
+void halo_exchange(AppContext& ctx, const kernels::GridOperator& a,
                    std::span<double> v, int tag_base) {
   mpi::ScopedPhase sp(ctx.proc, "comm");
   rep::LogicalComm& comm = ctx.comm;
@@ -61,7 +61,7 @@ HpccgResult hpccg(AppContext& ctx, const HpccgParams& p) {
   // decomposition uses an identical matrix, so the cache builds it once per
   // shape instead of once per rank per run (host-side cost only; the
   // simulated setup cost charged below is unchanged).
-  std::shared_ptr<const kernels::CsrMatrix> a_ptr;
+  std::shared_ptr<const kernels::GridOperator> a_ptr;
   std::size_t n = 0;
   std::vector<double> x;
   // b/r/ap/pvec are fully written before any read (b by the RHS sparsemv, r
@@ -73,7 +73,7 @@ HpccgResult hpccg(AppContext& ctx, const HpccgParams& p) {
     mpi::ScopedPhase sp(ctx.proc, "setup");
     a_ptr = kernels::grid_matrix_cached(kernels::Stencil::k27pt, p.nx, p.ny,
                                         p.nz, rank > 0, rank < nranks - 1);
-    const kernels::CsrMatrix& a = *a_ptr;
+    const kernels::GridOperator& a = *a_ptr;
     n = a.interior();
     x.assign(n, 0.0);
     b.resize(n);
@@ -91,7 +91,7 @@ HpccgResult hpccg(AppContext& ctx, const HpccgParams& p) {
                      });
     ctx.proc.compute(kernels::sparsemv_cost(a.rows(), a.nnz()));
   }
-  const kernels::CsrMatrix& a = *a_ptr;
+  const kernels::GridOperator& a = *a_ptr;
 
   const std::span<double> p_interior(pvec.data(), n);
 

@@ -90,7 +90,7 @@ double ddot_section(AppContext& ctx, const std::string& phase,
 }
 
 void sparsemv_section(AppContext& ctx, const std::string& phase,
-                      const kernels::CsrMatrix& a, std::span<const double> x,
+                      const kernels::GridOperator& a, std::span<const double> x,
                       std::span<double> y, bool enabled, int num_tasks) {
   mpi::ScopedPhase sp(ctx.proc, phase);
   if (!enabled) {

@@ -39,7 +39,7 @@ double ddot_section(AppContext& ctx, const std::string& phase,
 
 /// y = A*x over the local rows; x must include halo planes.
 void sparsemv_section(AppContext& ctx, const std::string& phase,
-                      const kernels::CsrMatrix& a, std::span<const double> x,
+                      const kernels::GridOperator& a, std::span<const double> x,
                       std::span<double> y, bool enabled,
                       int num_tasks = kDefaultTasksPerSection);
 

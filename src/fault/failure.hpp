@@ -102,6 +102,9 @@ class FaultPlan {
   }
 
   const std::vector<TimedCrash>& timed_crashes() const { return timed_; }
+  const std::vector<CorruptionRule>& corruptions() const {
+    return corruptions_;
+  }
 
   bool empty() const {
     return rules_.empty() && corruptions_.empty() && timed_.empty();

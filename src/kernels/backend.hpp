@@ -84,8 +84,8 @@ class ScopedBackend {
 /// internally, so callers never see the seam.
 struct BackendOps {
   Backend kind = Backend::kScalar;
-  /// acc[r - r0] = one structured row per r in [r0, r1) from a fixed
-  /// (offset, weight) table — csr_row_gather's interior-run unit.
+  /// acc[r - r0] = one grid-operator row per r in [r0, r1) from a fixed
+  /// (offset, weight) table — row_gather's interior-run unit.
   void (*gather_table)(const double* xp, double* acc, std::int64_t r0,
                        std::int64_t r1, const StencilTables::Table& t);
   /// orow[x] for x in [x0, x1) = 27-point average from nine row pointers —

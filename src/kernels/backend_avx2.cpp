@@ -15,7 +15,7 @@ namespace repmpi::kernels::detail {
 
 namespace {
 
-// --- SpMV structured row gather ---------------------------------------------
+// --- SpMV grid-operator row gather ------------------------------------------
 
 // Four consecutive rows per register: lane l accumulates row r0+l's
 // sum_k w[k] * x[r + l + off[k]] with one broadcast-multiply-add per table

@@ -20,9 +20,9 @@
 
 namespace repmpi::kernels::detail {
 
-// --- SpMV structured row gather ---------------------------------------------
+// --- SpMV grid-operator row gather ------------------------------------------
 
-/// One structured row: npts (offset, weight) pairs in emit order.
+/// One grid-operator row: npts (offset, weight) pairs in emit order.
 inline double gather_one_row(const double* xp, std::int64_t r,
                              const StencilTables::Table& t) {
   const double* const xr = xp + r;
@@ -31,14 +31,12 @@ inline double gather_one_row(const double* xp, std::int64_t r,
   return s;
 }
 
-/// Rows of one boundary class of a structured operator: npts fixed stride
-/// offsets and ±1/diagonal weights, in the exact entry order
-/// build_grid_matrix emits — each row's multiply-accumulate sequence
-/// matches the general CSR walk, so the result is bit-identical while the
-/// col/val streams stay untouched. Rows are processed four at a time with
-/// independent accumulators: the general walk's serial fma chain (npts
-/// dependent adds per row) is latency-bound, and interleaving rows recovers
-/// the ILP without reordering any row's sum.
+/// Rows of one boundary class of a grid operator: npts fixed stride
+/// offsets and ±1/diagonal weights in the stencil's emit order, so each
+/// row's multiply-accumulate sequence is the one gather_one_row runs.
+/// Rows are processed four at a time with independent accumulators: one
+/// row's serial chain (npts dependent adds) is latency-bound, and
+/// interleaving rows recovers the ILP without reordering any row's sum.
 template <int N>
 void gather_table_rows(const double* xp, double* acc, std::int64_t r0,
                        std::int64_t r1, const StencilTables::Table& t,

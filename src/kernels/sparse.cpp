@@ -1,5 +1,7 @@
 #include "kernels/sparse.hpp"
 
+#include <algorithm>
+#include <array>
 #include <tuple>
 #include <vector>
 
@@ -12,22 +14,32 @@ namespace repmpi::kernels {
 
 namespace {
 
-std::shared_ptr<const StencilTables> build_stencil_tables(
-    Stencil stencil, std::int64_t nx, std::int64_t ny, std::int64_t nz,
-    bool has_lower, bool has_upper) {
-  const std::int64_t plane = nx * ny;
-  const std::int64_t rows = plane * nz;
-  const double diag = stencil == Stencil::k27pt ? 27.0 : 7.0;
-  auto tables = std::make_shared<StencilTables>();
+/// Boundary class of index i on an axis of length n (see StencilTables).
+int axis_class(std::int64_t i, std::int64_t n) {
+  return n == 1 ? 3 : i == 0 ? 0 : i == n - 1 ? 2 : 1;
+}
 
-  // Point list in emit order: k27pt is the dz/dy/dx triple loop, k7pt is
-  // center, x-1, x+1, y-1, y+1, z-1, z+1.
+/// How many of the indices [0, k) of an axis of length n fall in each class.
+std::array<std::int64_t, 4> class_counts(std::int64_t n, std::int64_t k) {
+  if (n == 1) return {0, 0, 0, k};
+  const std::int64_t low = std::min<std::int64_t>(k, 1);
+  const std::int64_t high = k == n ? 1 : 0;
+  return {low, k - low - high, high, 0};
+}
+
+/// Fills m.tables from m's shape, stencil and neighbour flags.
+void build_stencil_tables(GridOperator& m) {
+  const std::int64_t nx = m.nx;
+  const std::int64_t plane = static_cast<std::int64_t>(m.plane());
+  const std::int64_t rows = m.rows();
+  const double diag = m.diagonal();
+
   struct Pt {
     int dx, dy, dz;
   };
   Pt pts[27];
   int npts = 0;
-  if (stencil == Stencil::k27pt) {
+  if (m.stencil == Stencil::k27pt) {
     for (int dz = -1; dz <= 1; ++dz)
       for (int dy = -1; dy <= 1; ++dy)
         for (int dx = -1; dx <= 1; ++dx) pts[npts++] = {dx, dy, dz};
@@ -41,116 +53,91 @@ std::shared_ptr<const StencilTables> build_stencil_tables(
     pts[npts++] = {0, 0, +1};
   }
 
-  for (int zc = 0; zc < 3; ++zc) {
-    for (int yc = 0; yc < 3; ++yc) {
-      for (int xc = 0; xc < 3; ++xc) {
-        StencilTables::Table& t = tables->t[zc][yc][xc];
+  const auto low = [](int c) { return c == 0 || c == 3; };
+  const auto high = [](int c) { return c == 2 || c == 3; };
+  for (int zc = 0; zc < 4; ++zc) {
+    for (int yc = 0; yc < 4; ++yc) {
+      for (int xc = 0; xc < 4; ++xc) {
+        StencilTables::Table& t = m.tables.t[zc][yc][xc];
         for (int j = 0; j < npts; ++j) {
           const auto [dx, dy, dz] = pts[j];
-          if ((xc == 0 && dx < 0) || (xc == 2 && dx > 0)) continue;
-          if ((yc == 0 && dy < 0) || (yc == 2 && dy > 0)) continue;
+          if ((low(xc) && dx < 0) || (high(xc) && dx > 0)) continue;
+          if ((low(yc) && dy < 0) || (high(yc) && dy > 0)) continue;
           std::int64_t zoff;
-          if (dz < 0 && zc == 0) {
-            if (!has_lower) continue;
+          if (dz < 0 && low(zc)) {
+            if (!m.has_lower) continue;
             zoff = rows;  // bottom halo plane
-          } else if (dz > 0 && zc == 2) {
-            if (!has_upper) continue;
+          } else if (dz > 0 && high(zc)) {
+            if (!m.has_upper) continue;
             zoff = 2 * plane;  // top halo plane
           } else {
             zoff = dz * plane;
           }
           t.off[t.npts] = zoff + dy * nx + dx;
-          t.w[t.npts] =
-              (dx == 0 && dy == 0 && dz == 0) ? diag : -1.0;
+          t.w[t.npts] = (dx == 0 && dy == 0 && dz == 0) ? diag : -1.0;
           ++t.npts;
         }
       }
     }
   }
-  return tables;
 }
 
 }  // namespace
 
-CsrMatrix build_grid_matrix(Stencil stencil, int nx, int ny, int nz,
-                            bool has_lower, bool has_upper) {
+std::int64_t GridOperator::nnz_before(std::int64_t r) const {
+  // Each prefix of the row order is whole planes, then whole x-lines of
+  // one plane, then a prefix of one x-line; count the rows of each class
+  // in every part and weight them by the class's point count.
+  const auto line = [this](int zc, int yc, std::int64_t k) {
+    const auto cx = class_counts(nx, k);
+    std::int64_t s = 0;
+    for (int xc = 0; xc < 4; ++xc) s += cx[xc] * tables.t[zc][yc][xc].npts;
+    return s;
+  };
+  const auto lines = [&](int zc, std::int64_t k) {
+    const auto cy = class_counts(ny, k);
+    std::int64_t s = 0;
+    for (int yc = 0; yc < 4; ++yc) s += cy[yc] * line(zc, yc, nx);
+    return s;
+  };
+  const std::int64_t p = static_cast<std::int64_t>(plane());
+  const std::int64_t z = r / p;
+  const std::int64_t rem = r - z * p;
+  const std::int64_t y = rem / nx;
+  const auto cz = class_counts(nz, z);
+  std::int64_t s = 0;
+  for (int zc = 0; zc < 4; ++zc) s += cz[zc] * lines(zc, ny);
+  if (z < nz) {
+    const int zc = axis_class(z, nz);
+    s += lines(zc, y) + line(zc, axis_class(y, ny), rem - y * nx);
+  }
+  return s;
+}
+
+std::int64_t GridOperator::nnz(std::int64_t r0, std::int64_t r1) const {
+  REPMPI_CHECK(r0 >= 0 && r1 <= rows() && r0 <= r1);
+  return nnz_before(r1) - nnz_before(r0);
+}
+
+GridOperator build_grid_matrix(Stencil stencil, int nx, int ny, int nz,
+                               bool has_lower, bool has_upper) {
   REPMPI_CHECK(nx > 0 && ny > 0 && nz > 0);
-  CsrMatrix m;
+  GridOperator m;
   m.nx = nx;
   m.ny = ny;
   m.nz = nz;
-  m.structured = true;
   m.has_lower = has_lower;
   m.has_upper = has_upper;
   m.stencil = stencil;
-  m.tables = build_stencil_tables(stencil, nx, ny, nz, has_lower, has_upper);
-  const std::int64_t rows =
-      static_cast<std::int64_t>(nx) * ny * nz;
-  m.row_start.reserve(static_cast<std::size_t>(rows) + 1);
-  m.row_start.push_back(0);
-  // Upper bound on nnz (interior rows have the full stencil): reserving it
-  // avoids ~log2(nnz) doubling reallocations, each of which memmoves tens of
-  // megabytes for production-sized grids.
-  const std::size_t nnz_bound = static_cast<std::size_t>(rows) *
-                                (stencil == Stencil::k27pt ? 27u : 7u);
-  m.col.reserve(nnz_bound);
-  m.val.reserve(nnz_bound);
-
-  const double diag = stencil == Stencil::k27pt ? 27.0 : 7.0;
-  const auto interior_index = [&](int x, int y, int z) {
-    return static_cast<std::int32_t>(
-        (static_cast<std::int64_t>(z) * ny + y) * nx + x);
-  };
-  const std::int64_t plane = static_cast<std::int64_t>(nx) * ny;
-  const std::int64_t halo_bottom = rows;
-  const std::int64_t halo_top = rows + plane;
-
-  for (int z = 0; z < nz; ++z) {
-    for (int y = 0; y < ny; ++y) {
-      for (int x = 0; x < nx; ++x) {
-        const auto emit = [&](int cx, int cy, int cz, double v) {
-          if (cx < 0 || cx >= nx || cy < 0 || cy >= ny) return;
-          if (cz < 0) {
-            if (!has_lower) return;
-            m.col.push_back(static_cast<std::int32_t>(
-                halo_bottom + static_cast<std::int64_t>(cy) * nx + cx));
-          } else if (cz >= nz) {
-            if (!has_upper) return;
-            m.col.push_back(static_cast<std::int32_t>(
-                halo_top + static_cast<std::int64_t>(cy) * nx + cx));
-          } else {
-            m.col.push_back(interior_index(cx, cy, cz));
-          }
-          m.val.push_back(v);
-        };
-
-        if (stencil == Stencil::k27pt) {
-          for (int dz = -1; dz <= 1; ++dz)
-            for (int dy = -1; dy <= 1; ++dy)
-              for (int dx = -1; dx <= 1; ++dx) {
-                const bool self = dx == 0 && dy == 0 && dz == 0;
-                emit(x + dx, y + dy, z + dz, self ? diag : -1.0);
-              }
-        } else {
-          emit(x, y, z, diag);
-          emit(x - 1, y, z, -1.0);
-          emit(x + 1, y, z, -1.0);
-          emit(x, y - 1, z, -1.0);
-          emit(x, y + 1, z, -1.0);
-          emit(x, y, z - 1, -1.0);
-          emit(x, y, z + 1, -1.0);
-        }
-        m.row_start.push_back(static_cast<std::int64_t>(m.col.size()));
-      }
-    }
-  }
+  build_stencil_tables(m);
+  m.total_nnz = m.nnz(0, m.rows());
   return m;
 }
 
-std::shared_ptr<const CsrMatrix> grid_matrix_cached(Stencil stencil, int nx,
-                                                    int ny, int nz,
-                                                    bool has_lower,
-                                                    bool has_upper) {
+std::shared_ptr<const GridOperator> grid_matrix_cached(Stencil stencil,
+                                                       int nx, int ny, int nz,
+                                                       bool has_lower,
+                                                       bool has_upper) {
   using Key = std::tuple<int, int, int, int, bool, bool>;
   struct KeyHash {
     std::size_t operator()(const Key& k) const {
@@ -162,57 +149,29 @@ std::shared_ptr<const CsrMatrix> grid_matrix_cached(Stencil stencil, int nx,
       return support::hash_combine(h, std::hash<bool>{}(std::get<5>(k)));
     }
   };
-  static support::FifoMemo<Key, CsrMatrix, KeyHash> memo(12);
+  static support::FifoMemo<Key, GridOperator, KeyHash> memo(12);
 
   return memo.get_or_build(
       Key{static_cast<int>(stencil), nx, ny, nz, has_lower, has_upper}, [&] {
-        return std::make_shared<const CsrMatrix>(
+        return std::make_shared<const GridOperator>(
             build_grid_matrix(stencil, nx, ny, nz, has_lower, has_upper));
       });
 }
 
 namespace {
 
-/// General CSR walk over rows [r0, r1), writing acc[r - r0].
-void gather_general(const CsrMatrix& a, const double* xp, double* acc,
-                    std::int64_t r0, std::int64_t r1) {
-  const std::int64_t* const row_start = a.row_start.data();
-  const std::int32_t* const col = a.col.data();
-  const double* const val = a.val.data();
-  for (std::int64_t r = r0; r < r1; ++r) {
-    double s = 0.0;
-    const std::int64_t b = row_start[r];
-    const std::int64_t e = row_start[r + 1];
-    for (std::int64_t k = b; k < e; ++k) {
-      s += val[k] * xp[col[k]];
-    }
-    acc[r - r0] = s;
-  }
-}
-
-/// The structured/general split over rows [r0, r1), on a given backend.
-/// Interior runs of each grid row go through ops.gather_table (the
-/// backend's batched unit); single boundary cells and the general CSR walk
-/// stay common scalar code in every backend.
-void gather_impl(const CsrMatrix& a, const double* xp, double* out,
+/// Rows [r0, r1) on a given backend. Interior runs of each x-line go
+/// through ops.gather_table (the backend's batched unit); single boundary
+/// cells stay common scalar code in every backend.
+void gather_impl(const GridOperator& a, const double* xp, double* out,
                  std::int64_t r0, std::int64_t r1, const BackendOps& ops) {
   const std::int64_t nx = a.nx, ny = a.ny, nz = a.nz;
-  if (!a.structured || a.tables == nullptr || nx < 3 || ny < 3 || nz < 3) {
-    gather_general(a, xp, out, r0, r1);
-    return;
-  }
-  const StencilTables& st = *a.tables;
   const std::int64_t plane = nx * ny;
   // Single edge cells run inline (a function call per boundary row would
   // dominate on small/coarse grids).
   const auto one_row = [xp, out, r0](std::int64_t rr,
                                      const StencilTables::Table& t) {
-    const double* const xr = xp + rr;
-    double s = 0.0;
-    for (int k = 0; k < t.npts; ++k) {
-      s += t.w[k] * xr[t.off[k]];
-    }
-    out[rr - r0] = s;
+    out[rr - r0] = detail::gather_one_row(xp, rr, t);
   };
   std::int64_t r = r0;
   while (r < r1) {
@@ -220,9 +179,13 @@ void gather_impl(const CsrMatrix& a, const double* xp, double* out,
     const std::int64_t rem = r - z * plane;
     const std::int64_t yy = rem / nx;
     const std::int64_t xx = rem - yy * nx;
-    const int zc = z == 0 ? 0 : z == nz - 1 ? 2 : 1;
-    const int yc = yy == 0 ? 0 : yy == ny - 1 ? 2 : 1;
-    const auto& row_tabs = st.t[zc][yc];
+    const auto& row_tabs =
+        a.tables.t[axis_class(z, nz)][axis_class(yy, ny)];
+    if (nx == 1) {
+      one_row(r, row_tabs[3]);
+      ++r;
+      continue;
+    }
     const std::int64_t row_base = r - xx;
     const std::int64_t row_end = std::min(r1, row_base + nx);
     if (xx == 0) {
@@ -243,14 +206,11 @@ void gather_impl(const CsrMatrix& a, const double* xp, double* out,
 
 }  // namespace
 
-void csr_row_gather(const CsrMatrix& a, std::span<const double> x,
-                    std::span<double> acc, std::int64_t r0, std::int64_t r1) {
+void row_gather(const GridOperator& a, std::span<const double> x,
+                std::span<double> acc, std::int64_t r0, std::int64_t r1) {
   REPMPI_CHECK(r0 >= 0 && r1 <= a.rows() && r0 <= r1);
   REPMPI_CHECK(acc.size() >= static_cast<std::size_t>(r1 - r0));
-  if (a.structured && a.tables != nullptr && a.nx >= 3 && a.ny >= 3 &&
-      a.nz >= 3) {
-    REPMPI_CHECK(x.size() >= a.vector_len());  // halo strides read past rows
-  }
+  REPMPI_CHECK(x.size() >= a.vector_len());  // halo strides read past rows
   const KernelTimer timer(KernelFamily::kSpmv);
   const BackendOps& ops = active_ops();
   gather_impl(a, x.data(), acc.data(), r0, r1, ops);
@@ -258,22 +218,19 @@ void csr_row_gather(const CsrMatrix& a, std::span<const double> x,
     std::vector<double> want(static_cast<std::size_t>(r1 - r0));
     gather_impl(a, x.data(), want.data(), r0, r1,
                 backend_ops(Backend::kScalar));
-    verify_backend_match("csr_row_gather", acc.data(), want.data(),
-                         want.size());
+    verify_backend_match("row_gather", acc.data(), want.data(), want.size());
   }
 }
 
-net::ComputeCost sparsemv_range(const CsrMatrix& a, std::span<const double> x,
-                                std::span<double> y, std::int64_t r0,
-                                std::int64_t r1) {
-  REPMPI_CHECK(x.size() >= a.vector_len());
+net::ComputeCost sparsemv_range(const GridOperator& a,
+                                std::span<const double> x, std::span<double> y,
+                                std::int64_t r0, std::int64_t r1) {
   REPMPI_CHECK(r0 >= 0 && r1 <= a.rows() && r0 <= r1);
-  csr_row_gather(a, x, y.subspan(static_cast<std::size_t>(r0),
-                                 static_cast<std::size_t>(r1 - r0)),
-                 r0, r1);
-  const std::int64_t nnz = a.row_start[static_cast<std::size_t>(r1)] -
-                           a.row_start[static_cast<std::size_t>(r0)];
-  return sparsemv_cost(r1 - r0, nnz);
+  row_gather(a, x,
+             y.subspan(static_cast<std::size_t>(r0),
+                       static_cast<std::size_t>(r1 - r0)),
+             r0, r1);
+  return sparsemv_cost(r1 - r0, a.nnz(r0, r1));
 }
 
 }  // namespace repmpi::kernels

@@ -1,6 +1,6 @@
 // Replica-compute sharing (support/compute_cache.hpp): the FifoMemo
-// template, the per-run ComputeCache/ComputeClient pair, the structured
-// row-gather fast path it rides on, and the end-to-end guarantees — cached
+// template, the per-run ComputeCache/ComputeClient pair, the range-split
+// stencil kernel it rides on, and the end-to-end guarantees — cached
 // and recomputed executions are bit-identical, epoch invalidation on
 // injected failures falls back to real execution, and virtual-time results
 // never depend on whether sharing was on.
@@ -19,7 +19,6 @@
 #include "apps/hpccg.hpp"
 #include "apps/minighost.hpp"
 #include "apps/runner.hpp"
-#include "kernels/sparse.hpp"
 #include "kernels/stencil.hpp"
 #include "support/compute_cache.hpp"
 #include "support/rng.hpp"
@@ -323,48 +322,8 @@ TEST(ComputeCache, SmallRegionsAlwaysPublish) {
 }
 
 // ---------------------------------------------------------------------------
-// Structured row-gather fast path: bit-identical to the general CSR walk.
+// Range-split kernels: a task split reproduces the full sweep bit for bit.
 // ---------------------------------------------------------------------------
-
-TEST(StructuredGather, MatchesGeneralWalkForAllBoundaryCombos) {
-  support::Rng rng(0xabcdULL);
-  for (const kernels::Stencil st :
-       {kernels::Stencil::k7pt, kernels::Stencil::k27pt}) {
-    for (const bool lower : {false, true}) {
-      for (const bool upper : {false, true}) {
-        const kernels::CsrMatrix a =
-            kernels::build_grid_matrix(st, 5, 4, 6, lower, upper);
-        std::vector<double> x(a.vector_len());
-        for (double& v : x) v = rng.uniform(-2.0, 2.0);
-
-        // Reference: identical matrix forced onto the general path.
-        kernels::CsrMatrix gen = a;
-        gen.structured = false;
-        std::vector<double> want(static_cast<std::size_t>(a.rows()));
-        kernels::csr_row_gather(gen, x, want, 0, a.rows());
-
-        std::vector<double> got(static_cast<std::size_t>(a.rows()), -7.0);
-        kernels::csr_row_gather(a, x, got, 0, a.rows());
-        for (std::size_t r = 0; r < want.size(); ++r) {
-          ASSERT_EQ(std::bit_cast<std::uint64_t>(want[r]),
-                    std::bit_cast<std::uint64_t>(got[r]))
-              << "stencil=" << static_cast<int>(st) << " lower=" << lower
-              << " upper=" << upper << " row=" << r;
-        }
-
-        // Sub-ranges (task splits) hit the same values.
-        const std::int64_t mid = a.rows() / 3;
-        std::vector<double> part(static_cast<std::size_t>(a.rows() - mid));
-        kernels::csr_row_gather(a, x, part, mid, a.rows());
-        for (std::size_t i = 0; i < part.size(); ++i) {
-          ASSERT_EQ(std::bit_cast<std::uint64_t>(
-                        want[static_cast<std::size_t>(mid) + i]),
-                    std::bit_cast<std::uint64_t>(part[i]));
-        }
-      }
-    }
-  }
-}
 
 TEST(StructuredGather, Stencil27RangeMatchesFullSweep) {
   support::Rng rng(0x5151ULL);

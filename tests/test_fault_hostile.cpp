@@ -12,8 +12,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <thread>
+#include <vector>
 
 #include "apps/hpccg.hpp"
 #include "apps/runner.hpp"
@@ -313,6 +315,43 @@ TEST(Generators, BurstySdcCountTracksNhppMean) {
   const double expected =
       model::nhpp_expected_events(base, factor, b0, b1, h);
   EXPECT_NEAR(mean, expected, 0.1 * expected);
+}
+
+TEST(Generators, BurstySdcRescaledGapsAreUnitExponential) {
+  // Time-rescaling theorem: arrivals t_1 < t_2 < ... of an NHPP with
+  // integrated intensity L(t) have i.i.d. Exp(1) gaps L(t_i) - L(t_{i-1}).
+  // A Kolmogorov-Smirnov test of the pooled per-rank gaps against Exp(1)
+  // checks the shape of the process, not only its mean: a thinning that
+  // ignored the burst window would stretch the rescaled gaps inside it.
+  const double base = 200.0, factor = 6.0, b0 = 0.25, b1 = 0.75, h = 1.0;
+  const int ranks = 4;
+  fault::FaultPlan plan;
+  support::Rng rng(20261019);
+  fault::generate_bursty_sdc(plan, ranks, base, factor, b0, b1, h, rng);
+  const auto integrated = [&](double t) {
+    return base * t +
+           base * (factor - 1.0) * std::max(0.0, std::min(t, b1) - b0);
+  };
+  std::vector<double> gaps;
+  std::vector<double> last(ranks, 0.0);
+  for (const fault::CorruptionRule& c : plan.corruptions()) {
+    double& prev = last[static_cast<std::size_t>(c.world_rank)];
+    ASSERT_GT(c.at, prev) << "arrivals of one rank must increase";
+    gaps.push_back(integrated(c.at) - integrated(prev));
+    prev = c.at;
+  }
+  const std::size_t n = gaps.size();
+  ASSERT_GT(n, 100u);  // enough gaps for the asymptotic critical value
+  std::sort(gaps.begin(), gaps.end());
+  double d = 0.0;
+  for (std::size_t i = 0; i < n; ++i) {
+    const double f = 1.0 - std::exp(-gaps[i]);
+    d = std::max({d, static_cast<double>(i + 1) / n - f,
+                  f - static_cast<double>(i) / n});
+  }
+  // Asymptotic KS critical value at alpha = 0.01: sqrt(-ln(alpha/2)/2)/sqrt(n).
+  const double critical = std::sqrt(-0.5 * std::log(0.005)) / std::sqrt(n);
+  EXPECT_LT(d, critical) << "n=" << n;
 }
 
 TEST(Generators, DomainKillListsWholeDomain) {

@@ -132,7 +132,7 @@ TEST(BackendBitwise, CsrRowGatherStructured) {
       for (const bool lower : {false, true}) {
         for (const bool upper : {false, true}) {
           for (const Shape& s : shapes) {
-            const kernels::CsrMatrix a =
+            const kernels::GridOperator a =
                 kernels::build_grid_matrix(st, s.nx, s.ny, s.nz, lower, upper);
             std::vector<double> x(a.vector_len());
             for (double& v : x) v = rng.uniform(-2.0, 2.0);
@@ -142,16 +142,16 @@ TEST(BackendBitwise, CsrRowGatherStructured) {
             std::vector<double> got(want.size(), -7.0);
             {
               const kernels::ScopedBackend scope(Backend::kScalar);
-              kernels::csr_row_gather(a, x, want, 0, a.rows());
+              kernels::row_gather(a, x, want, 0, a.rows());
             }
             {
               const kernels::ScopedBackend scope(b);
-              kernels::csr_row_gather(a, x, got, 0, a.rows());
+              kernels::row_gather(a, x, got, 0, a.rows());
               // Sub-range starting at an odd row: the SIMD run boundary
               // lands mid-plane.
               const std::int64_t r0 = a.rows() / 3 | 1;
               std::vector<double> part(static_cast<std::size_t>(a.rows() - r0));
-              kernels::csr_row_gather(a, x, part, r0, a.rows());
+              kernels::row_gather(a, x, part, r0, a.rows());
               for (std::size_t i = 0; i < part.size(); ++i) {
                 ASSERT_EQ(std::bit_cast<std::uint64_t>(
                               want[static_cast<std::size_t>(r0) + i]),
@@ -159,37 +159,11 @@ TEST(BackendBitwise, CsrRowGatherStructured) {
                     << "sub-range backend=" << kernels::to_string(b);
               }
             }
-            expect_bits_eq(want, got, "csr_row_gather", b);
+            expect_bits_eq(want, got, "row_gather", b);
           }
         }
       }
     }
-  }
-}
-
-TEST(BackendBitwise, CsrRowGatherUnstructuredAndEmptyRows) {
-  // Hand-built general CSR with empty rows and ragged row lengths: the
-  // general walk must behave identically whatever backend is active (it
-  // only vectorizes structured interior runs).
-  kernels::CsrMatrix a;
-  a.structured = false;
-  a.row_start = {0, 0, 3, 3, 5, 6, 6};
-  a.col = {0, 2, 4, 1, 3, 0};
-  a.val = {2.0, -1.0, 0.5, 1e-310, -3.25, 7.0};
-  const std::vector<double> x = {1.5, -2.0, 3.0, 1e-309, -0.0};
-
-  std::vector<double> want(static_cast<std::size_t>(a.rows()), -7.0);
-  std::vector<double> got(want.size(), -7.0);
-  {
-    const kernels::ScopedBackend scope(Backend::kScalar);
-    kernels::csr_row_gather(a, x, want, 0, a.rows());
-  }
-  EXPECT_EQ(want[0], 0.0);  // empty row sums to exactly zero
-  EXPECT_EQ(want[2], 0.0);
-  for (Backend b : simd_backends()) {
-    const kernels::ScopedBackend scope(b);
-    kernels::csr_row_gather(a, x, got, 0, a.rows());
-    expect_bits_eq(want, got, "unstructured gather", b);
   }
 }
 

@@ -1,18 +1,25 @@
 // Numeric correctness tests for the computational kernels: vector ops
-// against closed forms, CSR structure of the grid operators, sparsemv
+// against closed forms, the matrix-free grid operators against a literal
+// CSR reference (bitwise, every backend, every sub-range), sparsemv
 // against a dense reference, stencil properties, and PIC invariants
 // (charge conservation, determinism, periodic wrap).
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <numeric>
+#include <string>
 #include <vector>
 
+#include "kernels/backend.hpp"
 #include "kernels/pic.hpp"
 #include "kernels/sparse.hpp"
 #include "kernels/stencil.hpp"
 #include "kernels/vector_ops.hpp"
+#include "support/rng.hpp"
 
 namespace repmpi::kernels {
 namespace {
@@ -88,38 +95,189 @@ TEST(VectorOps, Axpy) {
   }
 }
 
+// --- Grid operators against a literal CSR reference ------------------------
+
+/// The operator in literal CSR form: every cell's couplings emitted in
+/// stencil order, out-of-domain x/y couplings dropped, z couplings off the
+/// local slab redirected into the halo planes when that neighbor exists.
+/// The matrix-free operator must reproduce this row for row.
+struct RefCsr {
+  std::vector<std::int64_t> row_start{0};
+  std::vector<std::int64_t> col;
+  std::vector<double> val;
+
+  std::int64_t rows() const {
+    return static_cast<std::int64_t>(row_start.size()) - 1;
+  }
+  std::int64_t nnz(std::int64_t r0, std::int64_t r1) const {
+    return row_start[static_cast<std::size_t>(r1)] -
+           row_start[static_cast<std::size_t>(r0)];
+  }
+};
+
+RefCsr reference_csr(Stencil stencil, int nx, int ny, int nz, bool has_lower,
+                     bool has_upper) {
+  RefCsr m;
+  const double diag = stencil == Stencil::k27pt ? 27.0 : 7.0;
+  const std::int64_t plane = static_cast<std::int64_t>(nx) * ny;
+  const std::int64_t halo_bottom = plane * nz;
+  const std::int64_t halo_top = halo_bottom + plane;
+  for (int z = 0; z < nz; ++z) {
+    for (int y = 0; y < ny; ++y) {
+      for (int x = 0; x < nx; ++x) {
+        const auto emit = [&](int cx, int cy, int cz, double v) {
+          if (cx < 0 || cx >= nx || cy < 0 || cy >= ny) return;
+          const std::int64_t in_plane = static_cast<std::int64_t>(cy) * nx + cx;
+          if (cz < 0) {
+            if (!has_lower) return;
+            m.col.push_back(halo_bottom + in_plane);
+          } else if (cz >= nz) {
+            if (!has_upper) return;
+            m.col.push_back(halo_top + in_plane);
+          } else {
+            m.col.push_back(cz * plane + in_plane);
+          }
+          m.val.push_back(v);
+        };
+        if (stencil == Stencil::k27pt) {
+          for (int dz = -1; dz <= 1; ++dz)
+            for (int dy = -1; dy <= 1; ++dy)
+              for (int dx = -1; dx <= 1; ++dx) {
+                const bool self = dx == 0 && dy == 0 && dz == 0;
+                emit(x + dx, y + dy, z + dz, self ? diag : -1.0);
+              }
+        } else {
+          emit(x, y, z, diag);
+          emit(x - 1, y, z, -1.0);
+          emit(x + 1, y, z, -1.0);
+          emit(x, y - 1, z, -1.0);
+          emit(x, y + 1, z, -1.0);
+          emit(x, y, z - 1, -1.0);
+          emit(x, y, z + 1, -1.0);
+        }
+        m.row_start.push_back(static_cast<std::int64_t>(m.col.size()));
+      }
+    }
+  }
+  return m;
+}
+
+/// The general CSR walk: y[r] = Σ_k val[k] * x[col[k]] in entry order.
+std::vector<double> reference_spmv(const RefCsr& m,
+                                   const std::vector<double>& x) {
+  std::vector<double> y(static_cast<std::size_t>(m.rows()));
+  for (std::int64_t r = 0; r < m.rows(); ++r) {
+    double s = 0.0;
+    for (std::int64_t k = m.row_start[static_cast<std::size_t>(r)];
+         k < m.row_start[static_cast<std::size_t>(r) + 1]; ++k) {
+      s += m.val[static_cast<std::size_t>(k)] *
+           x[static_cast<std::size_t>(m.col[static_cast<std::size_t>(k)])];
+    }
+    y[static_cast<std::size_t>(r)] = s;
+  }
+  return y;
+}
+
+std::vector<Backend> testable_backends() {
+  std::vector<Backend> out{Backend::kScalar};
+  if (backend_supported(Backend::kAvx2)) out.push_back(Backend::kAvx2);
+  return out;
+}
+
+TEST(Sparse, OperatorMatchesLiteralCsrOnEverySmallShape) {
+  // Every shape with 1..5 cells per axis covers all four boundary classes
+  // per axis (length 1: both faces; 2: low and high only; 3+: interior
+  // runs of every length up to 3), both stencils and all neighbor pairs.
+  support::Rng rng(0x5eed5eedULL);
+  for (const Stencil st : {Stencil::k7pt, Stencil::k27pt}) {
+    for (const bool lower : {false, true}) {
+      for (const bool upper : {false, true}) {
+        for (int nx = 1; nx <= 5; ++nx) {
+          for (int ny = 1; ny <= 5; ++ny) {
+            for (int nz = 1; nz <= 5; ++nz) {
+              const GridOperator a =
+                  build_grid_matrix(st, nx, ny, nz, lower, upper);
+              const RefCsr ref = reference_csr(st, nx, ny, nz, lower, upper);
+              const std::int64_t rows = ref.rows();
+              const std::string where =
+                  "stencil=" + std::to_string(static_cast<int>(st)) +
+                  " lower=" + std::to_string(lower) +
+                  " upper=" + std::to_string(upper) + " shape=" +
+                  std::to_string(nx) + "x" + std::to_string(ny) + "x" +
+                  std::to_string(nz);
+              ASSERT_EQ(a.rows(), rows) << where;
+              ASSERT_EQ(a.nnz(), ref.nnz(0, rows)) << where;
+              std::vector<double> x(a.vector_len());
+              for (double& v : x) v = rng.uniform(-2.0, 2.0);
+              const std::vector<double> want = reference_spmv(ref, x);
+
+              for (const Backend b : testable_backends()) {
+                const ScopedBackend scope(b);
+                std::vector<double> y(static_cast<std::size_t>(rows));
+                for (std::int64_t r0 = 0; r0 < rows; ++r0) {
+                  std::fill(y.begin(), y.end(), -7.0);
+                  const net::ComputeCost cost =
+                      sparsemv_range(a, x, y, r0, rows);
+                  const net::ComputeCost ref_cost =
+                      sparsemv_cost(rows - r0, ref.nnz(r0, rows));
+                  ASSERT_EQ(a.nnz(r0, rows), ref.nnz(r0, rows))
+                      << where << " r0=" << r0;
+                  ASSERT_EQ(cost.flops, ref_cost.flops) << where;
+                  ASSERT_EQ(cost.mem_bytes, ref_cost.mem_bytes) << where;
+                  for (std::int64_t r = r0; r < rows; ++r) {
+                    const auto i = static_cast<std::size_t>(r);
+                    ASSERT_EQ(std::bit_cast<std::uint64_t>(want[i]),
+                              std::bit_cast<std::uint64_t>(y[i]))
+                        << where << " backend=" << to_string(b)
+                        << " r0=" << r0 << " row=" << r;
+                  }
+                }
+              }
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
 TEST(Sparse, InteriorRowHas27Nonzeros) {
-  const CsrMatrix m = build_grid_matrix(Stencil::k27pt, 5, 5, 5, true, true);
+  const RefCsr ref = reference_csr(Stencil::k27pt, 5, 5, 5, true, true);
+  const GridOperator m = build_grid_matrix(Stencil::k27pt, 5, 5, 5, true, true);
+  EXPECT_EQ(ref.rows(), 125);
   EXPECT_EQ(m.rows(), 125);
   // Center row (2,2,2).
   const std::int64_t r = (2 * 5 + 2) * 5 + 2;
-  EXPECT_EQ(m.row_start[static_cast<std::size_t>(r) + 1] -
-                m.row_start[static_cast<std::size_t>(r)],
-            27);
+  EXPECT_EQ(ref.nnz(r, r + 1), 27);
+  EXPECT_EQ(m.nnz(r, r + 1), 27);
 }
 
 TEST(Sparse, CornerRowTruncated) {
   // Corner of the global domain (no lower neighbor): 2*2*2 = 8 couplings.
-  const CsrMatrix m = build_grid_matrix(Stencil::k27pt, 5, 5, 5, false, true);
-  EXPECT_EQ(m.row_start[1] - m.row_start[0], 8);
+  const RefCsr ref = reference_csr(Stencil::k27pt, 5, 5, 5, false, true);
+  const GridOperator m = build_grid_matrix(Stencil::k27pt, 5, 5, 5, false, true);
+  EXPECT_EQ(ref.nnz(0, 1), 8);
+  EXPECT_EQ(m.nnz(0, 1), 8);
 }
 
 TEST(Sparse, SevenPointStructure) {
-  const CsrMatrix m = build_grid_matrix(Stencil::k7pt, 4, 4, 4, true, true);
+  const RefCsr ref = reference_csr(Stencil::k7pt, 4, 4, 4, true, true);
+  const GridOperator m = build_grid_matrix(Stencil::k7pt, 4, 4, 4, true, true);
   const std::int64_t r = (2 * 4 + 2) * 4 + 2;  // interior row
-  EXPECT_EQ(m.row_start[static_cast<std::size_t>(r) + 1] -
-                m.row_start[static_cast<std::size_t>(r)],
-            7);
+  EXPECT_EQ(ref.nnz(r, r + 1), 7);
+  EXPECT_EQ(m.nnz(r, r + 1), 7);
+  EXPECT_EQ(m.diagonal(), 7.0);
 }
 
 TEST(Sparse, BoundaryRowsReferenceHalo) {
-  const CsrMatrix m = build_grid_matrix(Stencil::k7pt, 3, 3, 2, true, true);
+  const RefCsr ref = reference_csr(Stencil::k7pt, 3, 3, 2, true, true);
+  const GridOperator m = build_grid_matrix(Stencil::k7pt, 3, 3, 2, true, true);
   // Row (1,1,0) must reference the bottom halo at index interior + y*nx + x.
   bool found_halo = false;
   const std::int64_t r = (0 * 3 + 1) * 3 + 1;
-  for (std::int64_t k = m.row_start[static_cast<std::size_t>(r)];
-       k < m.row_start[static_cast<std::size_t>(r) + 1]; ++k) {
-    const auto c = static_cast<std::size_t>(m.col[static_cast<std::size_t>(k)]);
+  for (std::int64_t k = ref.row_start[static_cast<std::size_t>(r)];
+       k < ref.row_start[static_cast<std::size_t>(r) + 1]; ++k) {
+    const auto c = static_cast<std::size_t>(ref.col[static_cast<std::size_t>(k)]);
     if (c == m.halo_bottom() + 1 * 3 + 1) found_halo = true;
     EXPECT_LT(c, m.vector_len());
   }
@@ -127,26 +285,24 @@ TEST(Sparse, BoundaryRowsReferenceHalo) {
 }
 
 TEST(Sparse, SpmvMatchesDenseReference) {
-  const CsrMatrix m = build_grid_matrix(Stencil::k27pt, 4, 3, 3, true, false);
+  const GridOperator m = build_grid_matrix(Stencil::k27pt, 4, 3, 3, true, false);
+  const RefCsr ref = reference_csr(Stencil::k27pt, 4, 3, 3, true, false);
   std::vector<double> x(m.vector_len());
   for (std::size_t i = 0; i < x.size(); ++i)
     x[i] = std::sin(static_cast<double>(i) * 0.7);
   std::vector<double> y(static_cast<std::size_t>(m.rows()), 0.0);
   sparsemv(m, x, y);
 
-  // Dense reference.
-  for (std::int64_t r = 0; r < m.rows(); ++r) {
-    double acc = 0;
-    for (std::int64_t k = m.row_start[static_cast<std::size_t>(r)];
-         k < m.row_start[static_cast<std::size_t>(r) + 1]; ++k)
-      acc += m.val[static_cast<std::size_t>(k)] *
-             x[static_cast<std::size_t>(m.col[static_cast<std::size_t>(k)])];
-    EXPECT_NEAR(y[static_cast<std::size_t>(r)], acc, 1e-12);
+  const std::vector<double> want = reference_spmv(ref, x);
+  for (std::size_t r = 0; r < want.size(); ++r) {
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(y[r]),
+              std::bit_cast<std::uint64_t>(want[r]))
+        << "row " << r;
   }
 }
 
 TEST(Sparse, SpmvRangeEqualsFull) {
-  const CsrMatrix m = build_grid_matrix(Stencil::k27pt, 4, 4, 4, true, true);
+  const GridOperator m = build_grid_matrix(Stencil::k27pt, 4, 4, 4, true, true);
   std::vector<double> x(m.vector_len(), 0.0);
   for (std::size_t i = 0; i < x.size(); ++i) x[i] = 0.01 * i;
   std::vector<double> full(static_cast<std::size_t>(m.rows()));
@@ -158,15 +314,17 @@ TEST(Sparse, SpmvRangeEqualsFull) {
 }
 
 TEST(Sparse, DiagonalDominance) {
-  const CsrMatrix m = build_grid_matrix(Stencil::k27pt, 4, 4, 4, true, true);
-  for (std::int64_t r = 0; r < m.rows(); ++r) {
+  const RefCsr ref = reference_csr(Stencil::k27pt, 4, 4, 4, true, true);
+  const GridOperator m = build_grid_matrix(Stencil::k27pt, 4, 4, 4, true, true);
+  for (std::int64_t r = 0; r < ref.rows(); ++r) {
     double diag = 0, offsum = 0;
-    for (std::int64_t k = m.row_start[static_cast<std::size_t>(r)];
-         k < m.row_start[static_cast<std::size_t>(r) + 1]; ++k) {
-      const double v = m.val[static_cast<std::size_t>(k)];
+    for (std::int64_t k = ref.row_start[static_cast<std::size_t>(r)];
+         k < ref.row_start[static_cast<std::size_t>(r) + 1]; ++k) {
+      const double v = ref.val[static_cast<std::size_t>(k)];
       if (v > 0) diag = v;
       else offsum += -v;
     }
+    EXPECT_EQ(diag, m.diagonal());
     EXPECT_GT(diag, offsum);  // strictly dominant: boundary rows drop -1s
   }
 }

@@ -109,6 +109,21 @@ def main():
           code == 0 and "host_backend: baseline scalar, report avx2" in out
           and "total host kernel time" in out)
 
+    # Repeat-noise metrics (repmpi_bench emits host_wall_ms_min/max and
+    # host_cpu_ms per bench) never gate: not when they move tenfold, not
+    # when the baseline predates them, not when a report lacks them.
+    noise = {"host_wall_ms_min": 10.0, "host_wall_ms_max": 12.0,
+             "host_cpu_ms": 11.0}
+    noisy = {k: v * 10 for k, v in noise.items()}
+    for label, rep, bl in [
+            ("tenfold change", noisy, noise),
+            ("absent from baseline", noisy, {}),
+            ("absent from report", {}, noise)]:
+        code, out = run(make_report({"eff": 0.5, **rep}),
+                        make_report({"eff": 0.5, **bl}))
+        check(f"wall min/max and cpu ms never gate ({label})",
+              code == 0 and "OK" in out)
+
     # Reports predating host_backend (no top-level key) stay silent about it.
     code, out = run(make_report({"eff": 0.5, "zero": 0.0}), base)
     check("absent host_backend emits no note",
