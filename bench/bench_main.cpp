@@ -22,8 +22,10 @@
 // recorded through BenchContext::metric — the perf trajectory that CI
 // archives across PRs. Each entry also carries host_cpu_ms (the bench
 // thread's CPU time) and host_wall_ms_min/host_wall_ms_max (the spread of
-// the --repeat runs the median entry was picked from). Virtual-time
-// metrics are deterministic; the
+// the --repeat runs the median entry was picked from). The top level
+// fingerprints the host: host_backend (the resolved kernel backend),
+// host_cpu_model (/proc/cpuinfo "model name") and host_nproc (hardware
+// threads). Virtual-time metrics are deterministic; the
 // throughput fields and any metric prefixed "host_" are host-dependent and
 // excluded from regression diffs (tools/check_bench_drift.py).
 
@@ -93,7 +95,8 @@ void print_usage() {
          "results are bit-identical under every backend; only host wall\n"
          "time changes. Requesting a backend this build or CPU lacks is\n"
          "an error (exit 2), never a silent fallback. The report records\n"
-         "the resolved backend as host_backend.\n"
+         "the resolved backend as host_backend, next to host_cpu_model\n"
+         "and host_nproc.\n"
          "--timeout-sec=N fails any bench exceeding N seconds of wall\n"
          "time: the hung bench becomes a failed report entry and the\n"
          "driver exits 124 after flushing a partial report.\n"
@@ -155,6 +158,21 @@ std::string json_number(double v) {
   return buf;
 }
 
+/// The "model name" line of /proc/cpuinfo, or "unknown" where there is
+/// none (non-x86 kernels, no procfs).
+std::string host_cpu_model() {
+  std::ifstream f("/proc/cpuinfo");
+  std::string line;
+  while (std::getline(f, line)) {
+    if (line.rfind("model name", 0) != 0) continue;
+    const std::size_t colon = line.find(':');
+    if (colon == std::string::npos) continue;
+    const std::size_t start = line.find_first_not_of(' ', colon + 1);
+    return start == std::string::npos ? "unknown" : line.substr(start);
+  }
+  return "unknown";
+}
+
 /// Writes the JSON report. `partial` marks a report flushed before the run
 /// finished (signal or --timeout-sec): still valid JSON, still the same
 /// per-bench schema, but flagged so downstream tooling (the drift gate)
@@ -170,7 +188,9 @@ bool write_report(const std::string& path,
   out << "{\n  \"schema\": \"repmpi-bench-report/1\",\n  \"partial\": "
       << (partial ? "true" : "false") << ",\n  \"host_backend\": \""
       << kernels::to_string(kernels::process_default_backend())
-      << "\",\n  \"benches\": [\n";
+      << "\",\n  \"host_cpu_model\": \"" << json_escape(host_cpu_model())
+      << "\",\n  \"host_nproc\": " << support::TaskPool::default_jobs()
+      << ",\n  \"benches\": [\n";
   for (std::size_t i = 0; i < outcomes.size(); ++i) {
     const BenchOutcome& o = outcomes[i];
     const double wall = o.wall_time_s > 0 ? o.wall_time_s : 1e-9;

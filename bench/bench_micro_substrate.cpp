@@ -106,12 +106,12 @@ REPMPI_BENCH(micro_substrate,
   // in-flight window exactly like a running simulation: pop the minimum,
   // advance the clock, reinsert at clock + dt. `expo` models a
   // communication-bound phase (exponential inter-arrival at comm-latency
-  // scale); `bimodal` mixes in 10% compute-scale delays, which exercises
-  // the far tier and the re-anchoring path.
+  // scale); `bimodal` mixes in 10% compute-scale delays, so the heap holds
+  // timestamps spread over three decades.
   const int window = 256;
   const auto queue_rate = [msgs, window](auto&& next_dt) {
     return rate_per_sec(static_cast<std::size_t>(msgs), [&] {
-      sim::LadderQueue q;
+      sim::EventHeap q;
       std::vector<sim::EventNode> nodes(static_cast<std::size_t>(window));
       support::Rng rng(0xabcdefULL);
       std::uint64_t seq = 0;
@@ -119,14 +119,14 @@ REPMPI_BENCH(micro_substrate,
       for (auto& n : nodes) {
         n.t = now + next_dt(rng);
         n.seq = seq++;
-        q.push(&n, now);
+        q.push(&n);
       }
       for (int i = 0; i < msgs; ++i) {
         sim::EventNode* n = q.pop();
         now = n->t;
         n->t = now + next_dt(rng);
         n->seq = seq++;
-        q.push(n, now);
+        q.push(n);
       }
       q.drain([](sim::EventNode*) {});
     });

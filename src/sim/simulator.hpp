@@ -29,12 +29,11 @@
 //     bypassing the timed queue entirely ("zero-heap wakeups"); the FIFO is
 //     automatically (t, seq)-ordered because entries are created at the
 //     clock with fresh sequence numbers.
-//   * timed lane — a two-level ladder queue (sim/event_queue.hpp) whose
-//     near tier absorbs comm-latency-scale inserts in O(1) and whose far
-//     tier keeps compute-scale delays in a conventional heap.
+//   * timed lane — a binary min-heap on (t, seq) (sim/event_queue.hpp) for
+//     everything scheduled strictly in the future.
 // Callers may rely on the wakeup ordering contract: an unpark at virtual
 // time t runs after every event already scheduled at t and before anything
-// scheduled later — identical to the binary-heap engine it replaced.
+// scheduled later (pinned by the same-timestamp FIFO tests in test_sim.cpp).
 //
 // Thread-confinement contract: one Simulator is single-threaded by design,
 // but the substrate keeps NO process-wide mutable state, so independent
@@ -123,8 +122,6 @@ struct SubstrateCounters {
   std::uint64_t fiber_switches = 0;    ///< control transfers into fibers
   std::uint64_t heap_bypass = 0;       ///< ready-lane (same-time) events
   std::uint64_t wakeups_elided = 0;    ///< focused waits: wakes never issued
-  std::uint64_t queue_near_inserts = 0;  ///< ladder near-tier inserts
-  std::uint64_t queue_far_inserts = 0;   ///< ladder far-tier inserts
 };
 
 /// Thrown inside a simulated process when it is killed; the process body must
@@ -249,10 +246,9 @@ class Simulator {
   /// running many simulators concurrently diff snapshots per run instead of
   /// reading the thread-local process totals.
   SubstrateCounters counters() const {
-    const LadderQueue::Stats& q = timed_.stats();
-    return {events_executed_,  messages_,       stacks_allocated_,
-            stacks_reused_,    fiber_switches_, heap_bypass_,
-            wakeups_elided_,   q.near_inserts,  q.far_inserts};
+    return {events_executed_, messages_,       stacks_allocated_,
+            stacks_reused_,   fiber_switches_, heap_bypass_,
+            wakeups_elided_};
   }
 
   /// Called by an attached Network (same thread by the confinement
@@ -339,7 +335,7 @@ class Simulator {
     std::exception_ptr pending_exception;
   };
 
-  // EventNode / EventAfter / LadderQueue live in sim/event_queue.hpp.
+  // EventNode / EventAfter / EventHeap live in sim/event_queue.hpp.
 
   template <typename F>
   void attach_callable(EventNode* n, F&& fn) {
@@ -379,7 +375,7 @@ class Simulator {
   void release_node(EventNode* n);
 
   /// Routes a filled node to the right lane: the ready FIFO when it is due
-  /// at the current instant (zero timed-queue traffic), the ladder queue
+  /// at the current instant (zero timed-queue traffic), the timed heap
   /// otherwise.
   void enqueue(EventNode* n) {
     if (n->t <= now_) {
@@ -392,7 +388,7 @@ class Simulator {
       ready_tail_ = n;
       ++heap_bypass_;
     } else {
-      timed_.push(n, now_);
+      timed_.push(n);
     }
   }
 
@@ -471,7 +467,7 @@ class Simulator {
   std::uint64_t heap_bypass_ = 0;     ///< ready-lane events
   std::uint64_t wakeups_elided_ = 0;  ///< unpark_hint suppressions
   SubstrateTotals flushed_;           ///< already added to substrate totals
-  LadderQueue timed_;                 ///< future events, (t, seq) order
+  EventHeap timed_;                   ///< future events, (t, seq) order
   EventNode* ready_head_ = nullptr;   ///< same-instant FIFO (seq order)
   EventNode* ready_tail_ = nullptr;
   EventNode* free_nodes_ = nullptr;

@@ -393,8 +393,7 @@ TEST(Sim, UnparkThenDelayYieldsToWokenProcessFirst) {
 TEST(Sim, MixedScaleTimestampsPopInStableGlobalOrder) {
   // Deterministic pseudo-random mix of microsecond-scale (comm latency) and
   // second-scale (compute delay) timestamps, with duplicates: pops must
-  // follow (time, schedule order) exactly. Exercises near/far routing and
-  // re-anchoring in a tiered queue.
+  // follow (time, schedule order) exactly, across six decades of time.
   Simulator sim;
   std::vector<std::pair<double, int>> expected;
   std::vector<std::pair<double, int>> got;
@@ -424,16 +423,14 @@ TEST(Sim, MixedScaleTimestampsPopInStableGlobalOrder) {
 }
 
 TEST(Sim, HugeTimestampAfterCommScaleTrafficStillDrains) {
-  // Regression: once the queue's width estimate has tuned itself to
-  // microsecond leads, an event at a timestamp so large that a
-  // comm-scale window rounds away in double (base + 512*w == base) must
-  // still drain — the re-anchor path has to guarantee progress instead of
-  // re-anchoring forever.
+  // After microsecond-scale traffic, events at timestamps so large that a
+  // microsecond step rounds away in double (1e13 + 1e-6 == 1e13) must
+  // still drain, in (t, seq) order.
   Simulator sim;
   int ran = 0;
   Time last = -1;
   // Two interleaved delayers: every delay sees the other's pending resume,
-  // takes the slow path, and feeds a ~2 us lead to the width estimator.
+  // takes the slow path and pushes a ~2 us lead into the timed queue.
   for (int pnum = 0; pnum < 2; ++pnum) {
     std::string pname = "p";
     pname += std::to_string(pnum);
@@ -452,7 +449,7 @@ TEST(Sim, HugeTimestampAfterCommScaleTrafficStillDrains) {
   EXPECT_DOUBLE_EQ(last, 2e13);
 }
 
-// --- LadderQueue driven directly -------------------------------------------
+// --- EventHeap driven directly ---------------------------------------------
 
 /// Stable-address node arena for driving the queue without a Simulator.
 struct NodeArena {
@@ -466,46 +463,15 @@ struct NodeArena {
   }
 };
 
-TEST(LadderQueue, DrainResetsEpochForReuse) {
-  // Regression: drain() used to keep the old epoch's window (base_, cur_,
-  // active_end_, width estimate). Reusing the queue with timestamps *below*
-  // the stale base then computed a negative bucket offset (undefined
-  // unsigned conversion), and a stale active_end_ silently degraded every
-  // push to a sorted-lane insert. A drained queue must behave like a
-  // freshly constructed one.
-  LadderQueue q;
-  NodeArena arena;
-  // First epoch: anchor the window around t ~ 1e9 and consume half of it so
-  // base_/cur_ move well past zero.
-  for (int i = 0; i < 300; ++i) {
-    q.push(arena.make(1e9 + 1e-6 * i, static_cast<std::uint64_t>(i)), 1e9);
-  }
-  for (int i = 0; i < 150; ++i) ASSERT_NE(q.pop(), nullptr);
-  int drained = 0;
-  q.drain([&](EventNode*) { ++drained; });
-  EXPECT_EQ(drained, 150);
-  ASSERT_TRUE(q.empty());
-
-  // Second epoch: near-zero timestamps, pushed in reverse, must pop in
-  // strict (t, seq) order and all come back out.
-  std::uint64_t seq = 1000;
-  for (int i = 299; i >= 0; --i) q.push(arena.make(1e-9 * i, seq++), 0.0);
-  double last = -1.0;
-  int popped = 0;
-  while (EventNode* n = q.pop()) {
-    EXPECT_GT(n->t, last);
-    last = n->t;
-    ++popped;
-  }
-  EXPECT_EQ(popped, 300);
-  EXPECT_DOUBLE_EQ(last, 1e-9 * 299);
-}
-
-TEST(LadderQueue, RandomizedDifferentialAgainstPriorityQueue) {
+TEST(EventHeap, RandomizedDifferentialAgainstPriorityQueue) {
   // Differential check against std::priority_queue on adversarial mixes:
   // huge bases, denormal / near-zero leads, exact same-instant bursts, and
-  // heavy far-tier tails, with pops interleaved. Every pop must match the
-  // reference's strict (t, seq) minimum bit-for-bit.
+  // 1e15 tails, with pops interleaved. Every pop must match the reference's
+  // strict (t, seq) minimum bit-for-bit. Each trial runs two epochs on one
+  // queue: the first is drained mid-flight (teardown path) and must hand back
+  // exactly the queued events; the second restarts the clock at zero, at or
+  // below every first-epoch timestamp, so a drained queue must behave like a
+  // freshly constructed one.
   using Ref = std::pair<double, std::uint64_t>;
   const double bases[] = {0.0, 1e15, 1.0};
   for (std::uint64_t trial = 0; trial < 6; ++trial) {
@@ -515,20 +481,23 @@ TEST(LadderQueue, RandomizedDifferentialAgainstPriorityQueue) {
       state = state * 6364136223846793005ULL + 1442695040888963407ULL;
       return state >> 11;
     };
-    LadderQueue q;
+    EventHeap q;
     NodeArena arena;
     std::priority_queue<Ref, std::vector<Ref>, std::greater<Ref>> ref;
     double now = bases[trial % 3];
     double last_t = now;
     std::uint64_t seq = 0;
+    const auto pop_and_check = [&] {
+      EventNode* n = q.pop();
+      ASSERT_NE(n, nullptr);
+      ASSERT_EQ(n->t, ref.top().first);
+      ASSERT_EQ(n->seq, ref.top().second);
+      now = n->t;
+      ref.pop();
+    };
     const auto step = [&] {
       if (!ref.empty() && rnd() % 4 == 0) {
-        EventNode* n = q.pop();
-        ASSERT_NE(n, nullptr);
-        ASSERT_EQ(n->t, ref.top().first);
-        ASSERT_EQ(n->seq, ref.top().second);
-        now = n->t;
-        ref.pop();
+        pop_and_check();
         return;
       }
       double t;
@@ -549,24 +518,33 @@ TEST(LadderQueue, RandomizedDifferentialAgainstPriorityQueue) {
           t = now + 1e-6 * std::pow(10.0, static_cast<double>(rnd() % 12));
           break;
         default:
-          t = now + 1e15;  // far tier
+          t = now + 1e15;  // 1e15 tail
           break;
       }
       if (t < now) t = now;  // FP guard; the contract forbids past pushes
       last_t = t;
-      q.push(arena.make(t, seq), now);
+      q.push(arena.make(t, seq));
       ref.emplace(t, seq);
       ++seq;
     };
+
+    // Epoch 1, then drain whatever is still queued.
     for (int op = 0; op < 4000; ++op) step();
-    while (!ref.empty()) {
-      EventNode* n = q.pop();
-      ASSERT_NE(n, nullptr);
-      ASSERT_EQ(n->t, ref.top().first);
-      ASSERT_EQ(n->seq, ref.top().second);
-      now = n->t;
+    std::vector<Ref> drained;
+    q.drain([&](EventNode* n) { drained.emplace_back(n->t, n->seq); });
+    EXPECT_TRUE(q.empty());
+    EXPECT_EQ(q.pop(), nullptr);
+    std::sort(drained.begin(), drained.end());
+    ASSERT_EQ(drained.size(), ref.size());
+    for (const Ref& r : drained) {
+      ASSERT_EQ(r, ref.top());
       ref.pop();
     }
+
+    // Epoch 2 on the drained queue, with the clock back at zero.
+    now = last_t = 0.0;
+    for (int op = 0; op < 4000; ++op) step();
+    while (!ref.empty() && !HasFatalFailure()) pop_and_check();
     EXPECT_TRUE(q.empty());
     EXPECT_EQ(q.pop(), nullptr);
   }

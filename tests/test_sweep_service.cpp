@@ -8,7 +8,9 @@
 
 #include <gtest/gtest.h>
 
+#include <dirent.h>
 #include <signal.h>
+#include <sys/prctl.h>
 #include <sys/stat.h>
 #include <sys/wait.h>
 #include <unistd.h>
@@ -17,6 +19,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -62,12 +65,49 @@ std::string ctl(const std::string& spool, const std::string& rest) {
   return std::string(REPMPI_SWEEPCTL_BIN) + " " + rest + " --spool=" + spool;
 }
 
+/// Kills and reaps the sweep workers a dead daemon left behind. Workers
+/// run in their own process groups, so a daemon SIGKILL does not reach
+/// them; because the test process is a child subreaper (see Daemon), they
+/// are reparented to it. Every child of ours outside our own process group
+/// is such an orphan: daemons and popen shells stay in the test's group.
+void reap_orphaned_workers() {
+  const pid_t self = ::getpid();
+  const pid_t own_group = ::getpgrp();
+  DIR* proc = ::opendir("/proc");
+  if (proc == nullptr) return;
+  while (const dirent* e = ::readdir(proc)) {
+    const pid_t pid = static_cast<pid_t>(std::atoi(e->d_name));
+    if (pid <= 0) continue;
+    std::ifstream stat_file(std::string("/proc/") + e->d_name + "/stat");
+    std::string stat;
+    std::getline(stat_file, stat);
+    // Fields after the parenthesised command name: state, ppid, pgrp.
+    const std::size_t close = stat.rfind(')');
+    if (close == std::string::npos) continue;
+    std::istringstream fields(stat.substr(close + 1));
+    char state = 0;
+    pid_t ppid = 0;
+    pid_t pgrp = 0;
+    if (!(fields >> state >> ppid >> pgrp)) continue;
+    if (ppid != self || pgrp == own_group || pgrp <= 1) continue;
+    ::kill(-pgrp, SIGKILL);
+    ::kill(pid, SIGKILL);
+    int status = 0;
+    ::waitpid(pid, &status, 0);
+  }
+  ::closedir(proc);
+}
+
 /// A running daemon instance: fork/exec'd with optional chaos env, killed
-/// and reaped on destruction if the test did not already collect it.
+/// and reaped on destruction if the test did not already collect it,
+/// together with any worker it orphaned.
 class Daemon {
  public:
   Daemon(const std::string& spool, const std::string& extra_args = "",
          const std::string& chaos_env = "") {
+    // Orphaned workers of a killed daemon are reparented to this process
+    // instead of init, so the destructor can kill and reap them.
+    ::prctl(PR_SET_CHILD_SUBREAPER, 1);
     pid_ = ::fork();
     if (pid_ == 0) {
       // `exec` so pid_ IS the daemon (signals and wait status are its own,
@@ -89,6 +129,7 @@ class Daemon {
       int status = 0;
       ::waitpid(pid_, &status, 0);
     }
+    reap_orphaned_workers();
   }
 
   /// Waits (bounded) for the daemon to exit; returns the wait status via

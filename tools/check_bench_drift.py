@@ -16,8 +16,9 @@ events_per_sec / messages_per_sec per bench, and any metric prefixed
 `host_` (the substrate microbench throughputs, the sweep's pool speedup,
 and the replica-compute-sharing hit counters). Metrics present only on one
 side are reported (new metrics are fine; vanished ones fail). Host wall-time
-deltas per bench, the reports' kernel backends (top-level `host_backend`),
-and the aggregate host_kernel_*_ns trajectory are printed as informational
+deltas per bench, the reports' host fingerprints (top-level `host_backend`,
+`host_cpu_model` and `host_nproc`; older reports lack the last two), and
+the aggregate host_kernel_*_ns trajectory are printed as informational
 notes — they never gate, but they are the at-a-glance perf trajectory
 between two reports.
 
@@ -47,8 +48,12 @@ import json
 import sys
 
 
+HOST_FINGERPRINT = ("host_backend", "host_cpu_model", "host_nproc")
+
+
 def load(path):
-    """Returns (benches_by_name, partial, host_backend) for a report."""
+    """Returns (benches_by_name, partial, host) for a report, host being
+    its top-level HOST_FINGERPRINT fields (None where absent)."""
     with open(path) as f:
         doc = json.load(f)
     if doc.get("schema") != "repmpi-bench-report/1":
@@ -58,7 +63,8 @@ def load(path):
         if b["name"] in by_name:
             sys.exit(f"{path}: duplicate bench entry {b['name']!r}")
         by_name[b["name"]] = b
-    return by_name, bool(doc.get("partial", False)), doc.get("host_backend")
+    host = {k: doc.get(k) for k in HOST_FINGERPRINT}
+    return by_name, bool(doc.get("partial", False)), host
 
 
 def usage_error(msg):
@@ -94,8 +100,8 @@ def main(argv):
         sys.exit(__doc__)
     tolerance = parse_tolerance(argv)
 
-    report, report_partial, report_backend = load(args[0])
-    baseline, _, baseline_backend = load(args[1])
+    report, report_partial, report_host = load(args[0])
+    baseline, _, baseline_host = load(args[1])
     failures, notes = [], []
 
     for name, base in sorted(baseline.items()):
@@ -194,15 +200,18 @@ def main(argv):
                      f"({(wall_new - wall_old) / wall_old:+.1%}, "
                      f"informational)")
 
-    # Kernel-backend provenance and host kernel-time trajectory. Never
-    # gating — the backend seam's contract is that the virtual-time metrics
-    # compared above are identical whatever backend executed the kernels
+    # Host fingerprint (kernel backend, CPU model, hardware threads) and
+    # host kernel-time trajectory. Never gating — the virtual-time metrics
+    # compared above are identical whatever host and backend ran them
     # (which is exactly why the same baseline serves the default and the
-    # --backend=scalar CI passes); host_kernel_*_ns only says how fast the
-    # host got through them.
-    if report_backend or baseline_backend:
-        notes.append(f"host_backend: baseline {baseline_backend or 'n/a'}, "
-                     f"report {report_backend or 'n/a'} (informational)")
+    # --backend=scalar CI passes); these only say where the host numbers
+    # came from and how fast the host got through the kernels.
+    for key in HOST_FINGERPRINT:
+        b, r = baseline_host[key], report_host[key]
+        if b is not None or r is not None:
+            notes.append(f"{key}: baseline {'n/a' if b is None else b}, "
+                         f"report {'n/a' if r is None else r} "
+                         f"(informational)")
     kern_old = kern_new = 0.0
     for name, base in sorted(baseline.items()):
         cur = report.get(name)

@@ -18,7 +18,8 @@ SCRIPT = os.path.join(os.path.dirname(os.path.abspath(__file__)),
 
 
 def make_report(metrics, name="b1", status=0, wall_ms=12.5, extra=None,
-                partial=False, benches=None, host_backend=None):
+                partial=False, benches=None, host_backend=None,
+                host=None):
     bench = {"name": name, "status": status, "metrics": metrics}
     if wall_ms is not None:
         bench["wall_ms"] = wall_ms
@@ -27,6 +28,7 @@ def make_report(metrics, name="b1", status=0, wall_ms=12.5, extra=None,
            else [bench] + (extra or [])}
     if host_backend is not None:
         doc["host_backend"] = host_backend
+    doc.update(host or {})
     f = tempfile.NamedTemporaryFile("w", suffix=".json", delete=False)
     json.dump(doc, f)
     f.close()
@@ -128,6 +130,25 @@ def main():
     code, out = run(make_report({"eff": 0.5, "zero": 0.0}), base)
     check("absent host_backend emits no note",
           code == 0 and "host_backend" not in out)
+
+    # CPU model and hardware-thread count are notes, never gates: a report
+    # from another host passes, and a baseline predating the fields (every
+    # report before they existed) reads n/a instead of failing.
+    fp_base = make_report({"eff": 0.5}, host_backend="avx2",
+                          host={"host_cpu_model": "CPU A", "host_nproc": 4})
+    fp_report = make_report({"eff": 0.5}, host_backend="avx2",
+                            host={"host_cpu_model": "CPU B",
+                                  "host_nproc": 64})
+    code, out = run(fp_report, fp_base)
+    check("host_cpu_model + host_nproc are informational only",
+          code == 0 and "OK" in out
+          and "host_cpu_model: baseline CPU A, report CPU B" in out
+          and "host_nproc: baseline 4, report 64" in out)
+    code, out = run(fp_report,
+                    make_report({"eff": 0.5}, host_backend="avx512"))
+    check("baseline without the host fingerprint still passes",
+          code == 0 and "host_cpu_model: baseline n/a, report CPU B" in out
+          and "host_nproc: baseline n/a, report 64" in out)
 
     # --- Hostile-bench metric classes ---------------------------------------
 
