@@ -12,9 +12,9 @@
 
 namespace repmpi::rep {
 
-/// Channel ids (Comm channels carry the top bit reserved for collectives, so
-/// these must stay below 2^63). Logical app traffic, replica-group traffic
-/// (intra-parallel updates) and control traffic are kept disjoint.
+/// Channel ids: logical app traffic, replica-group traffic (intra-parallel
+/// updates) and control traffic are kept disjoint. Replica groups derive
+/// theirs from kReplicaChannelBase (mpi::Comm::derive_channel).
 constexpr std::uint64_t kLogicalChannel = 0x10;
 constexpr std::uint64_t kControlChannel = 0x11;
 constexpr std::uint64_t kReplicaChannelBase = 0x100000;

@@ -65,7 +65,7 @@ void World::crash(int world_rank) {
   for (sim::Pid companion : rs.companions) sim_.kill(companion);
   ++mains_crashed_;
   maybe_retire_companions();
-  sim_.schedule_after(detection_delay_,
+  sim_.schedule_after(kDetectionDelay,
                        [this, world_rank] { announce_death(world_rank); });
 }
 
@@ -82,7 +82,7 @@ void World::declare_job_failed(int logical, int world_rank, sim::Time t) {
   }
   // Every declaration schedules its own abort (kills are idempotent), one
   // detection delay after the observation.
-  sim_.schedule_internal_at(t + detection_delay_, [this] { abort_job(); });
+  sim_.schedule_internal_at(t + kDetectionDelay, [this] { abort_job(); });
 }
 
 void World::abort_job() {

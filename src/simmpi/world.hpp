@@ -85,7 +85,7 @@ class World {
   void crash(int world_rank);
 
   /// Failure-detection notification delay (virtual seconds).
-  void set_detection_delay(double d) { detection_delay_ = d; }
+  static constexpr double kDetectionDelay = 50e-6;
 
   /// Graceful both-replicas-lost degradation: a rank that observes an
   /// unmaskable failure (every replica of logical rank `logical` dead)
@@ -279,7 +279,6 @@ class World {
   int num_ranks_;
   std::vector<RankState> ranks_;
   std::vector<PhaseTimes> phases_;
-  double detection_delay_ = 50e-6;
   bool launched_ = false;
   int mains_done_ = 0;
   int mains_crashed_ = 0;

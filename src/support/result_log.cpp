@@ -305,14 +305,18 @@ bool ResultLogReader::next(ResultRecord* out) {
   const bool blob_in_range =
       raw.blob_offset + raw.blob_len <= blob_size_ &&
       raw.blob_offset + raw.blob_len >= raw.blob_offset;  // overflow guard
-  std::string blob(raw.blob_len, '\0');
-  const bool intact =
-      raw.record_crc == crc32c(&copy, sizeof(copy)) && key_terminated &&
-      blob_in_range &&
-      (raw.blob_len == 0 ||
-       (blob_fd_ >= 0 &&
-        pread_all(blob_fd_, blob.data(), blob.size(), raw.blob_offset))) &&
-      crc32c(blob.data(), blob.size()) == raw.blob_crc;
+  // The blob buffer is sized only once the record checks out, so a corrupt
+  // blob_len can never make the reader allocate more than the blob file.
+  std::string blob;
+  bool intact = raw.record_crc == crc32c(&copy, sizeof(copy)) &&
+                key_terminated && blob_in_range;
+  if (intact) {
+    blob.resize(raw.blob_len);
+    intact = (raw.blob_len == 0 ||
+              (blob_fd_ >= 0 && pread_all(blob_fd_, blob.data(), blob.size(),
+                                          raw.blob_offset))) &&
+             crc32c(blob.data(), blob.size()) == raw.blob_crc;
+  }
   if (!intact) {
     done_ = true;
     dropped_tail_ = true;

@@ -28,7 +28,7 @@ struct RawHeader {
   std::uint64_t request_id;
   std::uint32_t payload_len;
   std::uint32_t payload_crc;
-  std::uint32_t reserved;
+  std::uint32_t reserved;    ///< always 0
   std::uint32_t header_crc;  ///< CRC32C of the header with this field zeroed
 };
 static_assert(sizeof(RawHeader) == kHeaderSize);
@@ -68,8 +68,10 @@ DecodeStatus decode_frame(const char* buf, std::size_t len, Frame* out,
   std::memcpy(&h, buf, sizeof(h));
   RawHeader copy = h;
   copy.header_crc = 0;
+  // A nonzero reserved field is rejected too, so only encode_frame's
+  // canonical bytes ever decode.
   if (std::memcmp(h.magic, kMagic, sizeof(kMagic)) != 0 ||
-      h.header_crc != crc32c(&copy, sizeof(copy)) ||
+      h.header_crc != crc32c(&copy, sizeof(copy)) || h.reserved != 0 ||
       h.payload_len > kMaxPayload)
     return DecodeStatus::kCorrupt;
   if (len < kHeaderSize + h.payload_len) return DecodeStatus::kNeedMore;

@@ -7,9 +7,9 @@
 //
 // Frame layout (32-byte header + payload):
 //   magic "RSW1" · type · status · request_id · payload_len · payload_crc ·
-//   header_crc — both CRCs are CRC32C (the result-log checksum). A frame
-//   that fails any check is a protocol violation: the peer closes the
-//   connection rather than guessing at resynchronization.
+//   reserved (0) · header_crc — both CRCs are CRC32C (the result-log
+//   checksum). A frame that fails any check is a protocol violation: the
+//   peer closes the connection rather than guessing at resynchronization.
 //
 // Failure semantics the daemon's clients rely on:
 //   - NACKs return immediately (never retried here): backpressure must be

@@ -1,9 +1,11 @@
 // Parameterized sweep of the LogicalComm collectives over (logical size x
-// replication degree), plus failure cases: lane crashes before and during
-// collectives must leave all survivors with the correct, identical value.
+// replication degree), their cost in virtual time, plus failure cases: lane
+// crashes before and during collectives must leave all survivors with the
+// correct, identical value.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <tuple>
 #include <vector>
@@ -102,6 +104,30 @@ TEST_P(LogicalCollectives, AllgatherValues) {
   for (const auto& [r, all] : got) {
     for (int i = 0; i < n; ++i)
       EXPECT_EQ(all[static_cast<std::size_t>(i)], 100 + i);
+  }
+}
+
+TEST(LogicalCollectivesTiming, BcastScalesLogarithmically) {
+  // Binomial bcast over 16 logical ranks takes ~log2(16) = 4 latency steps,
+  // clearly below a linear fan-out, natively and replicated alike (lane k
+  // of a sender feeds lane k of the receiver, so degree 2 adds no hops).
+  net::MachineModel m;
+  m.net_latency = 1e-5;
+  m.net_bandwidth = 1e12;
+  m.send_overhead = 0;
+  m.recv_overhead = 0;
+  m.mem_bandwidth = 1e18;
+  m.intranode_latency = 1e-5;  // make every hop equal for simple counting
+  m.intranode_bandwidth = 1e12;
+  for (int degree : {1, 2}) {
+    RepFixture f(16, degree, m);
+    sim::Time finish = 0;
+    f.run([&](mpi::Proc& proc, LogicalComm& comm) {
+      comm.bcast_value(comm.rank() == 0 ? 1.0 : 0.0, 0);
+      finish = std::max(finish, proc.now());
+    });
+    EXPECT_LT(finish, 8 * 1e-5) << "degree " << degree;  // 4 rounds + slack
+    EXPECT_GT(finish, 3 * 1e-5) << "degree " << degree;
   }
 }
 

@@ -159,26 +159,6 @@ TEST(P2P, WaitallCollectsMixedRequests) {
   EXPECT_EQ(got[1], 20);
 }
 
-TEST(P2P, TestPollsWithoutBlocking) {
-  MpiFixture f(2);
-  int polls_before_done = 0;
-  f.run([&](Proc& proc, Comm& comm) {
-    if (comm.rank() == 0) {
-      proc.elapse(1.0);
-      comm.send_value(1, 2, 5);
-    } else {
-      Request r = comm.irecv(0, 2);
-      while (!comm.test(r)) {
-        ++polls_before_done;
-        proc.elapse(0.1);
-      }
-      EXPECT_EQ(support::from_buffer<int>(r.state().data), 5);
-    }
-  });
-  EXPECT_GE(polls_before_done, 9);
-  EXPECT_LE(polls_before_done, 12);
-}
-
 TEST(P2P, TransferTimeMatchesModel) {
   net::MachineModel m;
   m.net_latency = 1e-6;

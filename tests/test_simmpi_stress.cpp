@@ -4,16 +4,19 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <vector>
 
 #include "mpi_test_harness.hpp"
+#include "rep_test_harness.hpp"
 #include "support/rng.hpp"
 
 namespace repmpi::mpi {
 namespace {
 
 using repmpi::testing::MpiFixture;
+using repmpi::testing::RepFixture;
 
 TEST(Stress, RandomizedPairwiseTrafficMatchesOracle) {
   // Every rank sends a deterministic pseudo-random number of messages to
@@ -64,13 +67,18 @@ TEST(Stress, RandomizedPairwiseTrafficMatchesOracle) {
 }
 
 TEST(Stress, SixtyFourRanksAllreduce) {
-  MpiFixture f(64, /*cores_per_node=*/4);
-  std::vector<double> got(64, 0.0);
-  f.run([&](Proc&, Comm& comm) {
-    got[static_cast<std::size_t>(comm.rank())] = comm.allreduce_value(
-        static_cast<double>(comm.rank()), ReduceOp::kSum);
-  });
-  for (double v : got) EXPECT_DOUBLE_EQ(v, 64.0 * 63.0 / 2.0);
+  // 64 logical ranks natively and replicated (128 processes at degree 2).
+  for (int degree : {1, 2}) {
+    RepFixture f(64, degree);
+    std::map<int, double> got;
+    f.run([&](Proc& proc, rep::LogicalComm& comm) {
+      got[proc.world_rank()] = comm.allreduce_value(
+          static_cast<double>(comm.rank()), ReduceOp::kSum);
+    });
+    ASSERT_EQ(got.size(), static_cast<std::size_t>(64 * degree));
+    for (const auto& [r, v] : got)
+      EXPECT_DOUBLE_EQ(v, 64.0 * 63.0 / 2.0) << "degree " << degree;
+  }
 }
 
 TEST(Stress, WholeSimulationIsBitReproducible) {
@@ -124,32 +132,61 @@ TEST(Stress, LargePayloadRoundTrip) {
 }
 
 TEST(Stress, ManyCommunicatorsCoexist) {
-  // Split the world repeatedly and use every derived communicator: channel
-  // ids must never collide (messages stay within their comm).
-  MpiFixture f(8);
-  std::vector<int> ok(8, 0);
-  f.run([&](Proc&, Comm& comm) {
+  // Overlapping explicit-membership communicators on channels derived from
+  // the world's with distinct salts (LogicalComm's replica comms rely on
+  // this isolation). Every rank posts its receive on every comm first and
+  // sends in reverse comm order, all with the same tag: a receive only gets
+  // its own comm's message if the channels keep the comms apart.
+  constexpr int kRanks = 8;
+  MpiFixture f(kRanks);
+  std::vector<int> ok(kRanks, 0);
+  f.run([&](Proc& proc, Comm& world) {
+    const int me = world.rank();
+    auto group = [](auto pred) {
+      std::vector<int> members;
+      for (int r = 0; r < kRanks; ++r)
+        if (pred(r)) members.push_back(r);
+      return members;
+    };
+    // (members, group colour): comm c is salted with (c, colour), so
+    // overlapping comms never share a salt.
+    const std::pair<std::vector<int>, int> groups[] = {
+        {group([](int) { return true; }), 0},
+        {group([me](int r) { return r % 2 == me % 2; }), me % 2},
+        {group([me](int r) { return r / 4 == me / 4; }), me / 4},
+        {group([me](int r) { return r % 2 == me % 2; }), me % 2},
+    };
     std::vector<Comm> comms;
-    comms.push_back(comm.dup());
-    comms.push_back(comm.split(comm.rank() % 2, comm.rank()));
-    comms.push_back(comm.split(comm.rank() / 4, comm.rank()));
-    comms.push_back(comms[1].dup());
-    bool good = true;
-    for (std::size_t c = 0; c < comms.size(); ++c) {
-      Comm& sub = comms[c];
-      // Ring exchange within each comm with identical tags everywhere:
-      // only the channel can disambiguate.
-      const int next = (sub.rank() + 1) % sub.size();
-      const int prev = (sub.rank() - 1 + sub.size()) % sub.size();
-      Request r = sub.irecv(prev, /*tag=*/1);
-      sub.send_value(next, 1, static_cast<int>(c) * 100 + sub.rank());
-      sub.wait(r);
-      if (support::from_buffer<int>(r.state().data) !=
-          static_cast<int>(c) * 100 + prev) {
-        good = false;
-      }
+    std::vector<std::uint64_t> channels{world.channel()};
+    for (std::uint64_t c = 0; c < 4; ++c) {
+      const auto& [members, colour] = groups[c];
+      const std::uint64_t salt = c * 16 + static_cast<std::uint64_t>(colour);
+      comms.emplace_back(proc, Comm::derive_channel(world.channel(), salt),
+                         members);
+      channels.push_back(comms.back().channel());
     }
-    ok[static_cast<std::size_t>(comm.rank())] = good ? 1 : 0;
+    std::sort(channels.begin(), channels.end());
+    bool good =
+        std::adjacent_find(channels.begin(), channels.end()) == channels.end();
+
+    std::vector<Request> reqs;
+    for (Comm& sub : comms)
+      reqs.push_back(sub.irecv((sub.rank() - 1 + sub.size()) % sub.size(),
+                               /*tag=*/1));
+    for (std::size_t c = comms.size(); c-- > 0;) {
+      Comm& sub = comms[c];
+      sub.send_value((sub.rank() + 1) % sub.size(), 1,
+                     static_cast<int>(c) * 100 + sub.rank());
+    }
+    world.waitall(reqs);
+    for (std::size_t c = 0; c < comms.size(); ++c) {
+      const Comm& sub = comms[c];
+      const int prev = (sub.rank() - 1 + sub.size()) % sub.size();
+      if (support::from_buffer<int>(reqs[c].state().data) !=
+          static_cast<int>(c) * 100 + prev)
+        good = false;
+    }
+    ok[static_cast<std::size_t>(me)] = good ? 1 : 0;
   });
   for (int o : ok) EXPECT_EQ(o, 1);
 }

@@ -10,6 +10,7 @@
 #include <sys/un.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
@@ -19,6 +20,8 @@
 #include <thread>
 #include <vector>
 
+#include "fuzz_mutator.hpp"
+#include "support/result_log.hpp"
 #include "support/sweep_client.hpp"
 
 namespace repmpi::support {
@@ -104,6 +107,81 @@ TEST(Wire, OversizedPayloadClaimIsCorrupt) {
   std::size_t consumed = 0;
   EXPECT_EQ(wire::decode_frame(bytes.data(), bytes.size(), &out, &consumed),
             wire::DecodeStatus::kCorrupt);
+}
+
+/// Reseals a mutant's header CRC (and, when asked, its payload CRC over the
+/// payload bytes present) so it gets past the checksums and reaches the
+/// length and framing logic behind them.
+void reseal_frame(std::string& s, bool payload) {
+  if (s.size() < wire::kHeaderSize) return;
+  if (payload) {
+    std::uint32_t len = 0;
+    std::memcpy(&len, s.data() + 16, sizeof(len));
+    const std::uint32_t crc = crc32c(
+        s.data() + wire::kHeaderSize,
+        std::min<std::size_t>(len, s.size() - wire::kHeaderSize));
+    std::memcpy(s.data() + 20, &crc, sizeof(crc));
+  }
+  std::memset(s.data() + 28, 0, 4);
+  const std::uint32_t crc = crc32c(s.data(), wire::kHeaderSize);
+  std::memcpy(s.data() + 28, &crc, sizeof(crc));
+}
+
+TEST(Wire, FuzzedFramesDecodeSafelyAndCanonically) {
+  // Corpus: one frame per type with 0-200 byte payloads, plus a two-frame
+  // stream. Mutants are multi-byte flips, splices, truncations and
+  // extensions, some resealed, and payload_len edits with a resealed header.
+  std::vector<std::string> corpus;
+  const std::uint16_t types[] = {wire::kHello, wire::kSubmit, wire::kStatus,
+                                 wire::kQuery, wire::kDrain,  wire::kAck,
+                                 wire::kNack};
+  for (std::size_t i = 0; i < std::size(types); ++i) {
+    wire::Frame f;
+    f.type = types[i];
+    f.status = types[i] == wire::kNack ? wire::kNackBusy : 0;
+    f.request_id = 0x0102030405060708ULL * (i + 1);
+    f.payload = std::string(i * 33, static_cast<char>('a' + i));
+    corpus.push_back(wire::encode_frame(f));
+  }
+  corpus.push_back(corpus[1] + corpus[5]);
+
+  repmpi::testing::Mutator m(0x5eedf4a3eULL);
+  int decoded = 0, corrupt = 0, need_more = 0;
+  for (int i = 0; i < 20000; ++i) {
+    const std::string& base = corpus[m.below(corpus.size())];
+    std::string s = base;
+    if (m.coin(3)) {
+      m.put_u32(s, 16, static_cast<std::uint32_t>(base.size() -
+                                                  wire::kHeaderSize));
+      reseal_frame(s, m.coin(2));
+    } else {
+      m.mutate(s, corpus[m.below(corpus.size())]);
+      if (m.coin(4)) reseal_frame(s, m.coin(2));
+    }
+    wire::Frame out;
+    std::size_t consumed = 0;
+    switch (wire::decode_frame(s.data(), s.size(), &out, &consumed)) {
+      case wire::DecodeStatus::kFrame:
+        ++decoded;
+        ASSERT_GE(consumed, wire::kHeaderSize) << "mutant " << i;
+        ASSERT_LE(consumed, s.size()) << "mutant " << i;
+        // Only canonical encodings decode: re-encoding gives back exactly
+        // the bytes consumed, and any shorter prefix still needs more.
+        ASSERT_EQ(wire::encode_frame(out), s.substr(0, consumed))
+            << "mutant " << i;
+        ASSERT_EQ(wire::decode_frame(s.data(), consumed - 1, &out, &consumed),
+                  wire::DecodeStatus::kNeedMore)
+            << "mutant " << i;
+        break;
+      case wire::DecodeStatus::kCorrupt: ++corrupt; break;
+      case wire::DecodeStatus::kNeedMore: ++need_more; break;
+    }
+  }
+  // Every outcome is reached, so the mix is neither all noise nor all
+  // trivially intact.
+  EXPECT_GT(decoded, 100);
+  EXPECT_GT(corrupt, 100);
+  EXPECT_GT(need_more, 100);
 }
 
 TEST(Wire, NackNamesAreDistinct) {
